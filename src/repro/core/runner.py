@@ -360,13 +360,16 @@ def _execute_spec(spec: EpisodeSpec, trace_dir: Optional[str] = None,
 
 def _execute_spec_worker(spec: EpisodeSpec, trace_dir: Optional[str] = None,
                          profile: bool = False) -> tuple:
-    """Pool entry point: tags the record with the executing worker's pid.
+    """Pool entry point: ``(pid, started, finished, record)``.
 
-    The pid rides back *outside* the record, so telemetry can report
-    which worker ran a unit without touching the record (and therefore
-    the cache format or its bytes).
+    The executing worker's pid and the epoch interval the episode ran in
+    ride back *outside* the record, so telemetry and the run report can
+    say which worker ran a unit, and when, without touching the record
+    (and therefore the cache format or its bytes).
     """
-    return os.getpid(), _execute_spec(spec, trace_dir, profile)
+    started = time.time()
+    record = _execute_spec(spec, trace_dir, profile)
+    return os.getpid(), started, time.time(), record
 
 
 # --------------------------------------------------------------------------
@@ -385,8 +388,11 @@ class UnitReport:
     cache_hit: bool
     source: str                 # "computed" | "memory" | "disk"
     wall_time: float            # episode compute time (0.0 for hits)
-    started: float              # epoch seconds
+    # Epoch seconds.  A computed unit spans its episode as run by its
+    # worker; a hit starts and finishes when its batch is recorded.
+    started: float
     finished: float
+    worker: Optional[int] = None  # pid that computed the unit (None: hit)
 
 
 @dataclass
@@ -541,6 +547,9 @@ class CampaignRunner:
         self.telemetry = telemetry
         self._memory: Dict[str, EpisodeRecord] = {}
         self._units: List[UnitReport] = []
+        # key -> (worker pid, started, finished) of units computed here,
+        # until the batch's UnitReports are recorded.
+        self._unit_runs: Dict[str, tuple] = {}
         self._wall_time = 0.0
         self._obs = obs.MetricsRegistry()
         self._phases: Dict[str, float] = {}
@@ -676,13 +685,16 @@ class CampaignRunner:
             source = sources[key] if first_request else "memory"
             is_hit = source != "computed" or not first_request
             record = self._memory[key]
-            wall = record.wall_time if (source == "computed" and first_request) \
-                else 0.0
+            worker, started, finished = None, now, now
+            wall = 0.0
+            if source == "computed" and first_request:
+                wall = record.wall_time
+                worker, started, finished = self._unit_runs.pop(key)
             self._units.append(UnitReport(
                 key=key, threat_key=spec.threat_key, variant=spec.variant,
                 role=spec.role, mechanism_key=spec.mechanism_key,
                 cache_hit=is_hit, source=source, wall_time=wall,
-                started=now, finished=now))
+                started=started, finished=finished, worker=worker))
         elapsed = time.perf_counter() - phase_start
         self._add_phase("record", elapsed)
         self._emit("phase_finished", phase="record", wall_time=elapsed)
@@ -776,7 +788,9 @@ class CampaignRunner:
             if self.workers == 1 or len(to_compute) == 1:
                 for key, spec in to_compute:
                     self._emit_unit_started(spec)
+                    started = time.time()
                     record = _execute_spec(spec, trace_dir, profile)
+                    self._unit_runs[key] = (os.getpid(), started, time.time())
                     results[key] = record
                     self._store_cached(key, record)
                     self._emit_unit_finished(spec, "computed",
@@ -798,7 +812,8 @@ class CampaignRunner:
                                          return_when=FIRST_COMPLETED)
                     for future in done:
                         key = futures[future]
-                        worker, record = future.result()
+                        worker, started, finished, record = future.result()
+                        self._unit_runs[key] = (worker, started, finished)
                         results[key] = record
                         self._store_cached(key, record)
                         self._emit_unit_finished(specs_by_key[key],

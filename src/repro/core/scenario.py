@@ -92,6 +92,15 @@ class ScenarioConfig:
         # typed HighwayConfig.
         if isinstance(self.highway, dict):
             self.highway = HighwayConfig(**self.highway)
+        # Fail fast on episodes that cannot run: with no vehicle the
+        # builder would crash, and a non-positive horizon would simulate
+        # nothing and still produce a verdict.
+        if self.highway is None and self.n_vehicles < 1:
+            raise ValueError(
+                f"n_vehicles must be >= 1, got {self.n_vehicles}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"duration must be a finite number > 0, got {self.duration}")
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)

@@ -97,11 +97,7 @@ class VectorRadioChannel(RadioChannel):
         # Same fast path as the scalar kernel's interference_mw_at: with no
         # jammers and no concurrent frame but the sender's own, every
         # receiver sees zero interference without any per-receiver calls.
-        active = self._active
-        all_quiet = (not self._interferers
-                     and (not active
-                          or (len(active) == 1 and active[0].sender is sender)))
-        if all_quiet:
+        if self._quiet_for(sender):
             sinr_db = rx_power_dbm - self._noise_only_dbm
         else:
             interference_mw = np.empty(attempts)
@@ -120,10 +116,13 @@ class VectorRadioChannel(RadioChannel):
         n_success = int(np.count_nonzero(success))
 
         if n_success:
+            now = self.sim.now
             delays = duration + in_distances / cfg.propagation_speed
-            schedule = self.sim.schedule
-            for j in np.nonzero(success)[0]:
-                schedule(float(delays[j]), in_receivers[j].deliver, msg)
+            schedule_at = self.sim.schedule_at
+            for ok, delay, receiver in zip(success.tolist(), delays.tolist(),
+                                           in_receivers):
+                if ok:
+                    schedule_at(now + delay, receiver.deliver, msg)
             self.stats.delivered += n_success
             obs.inc("frames.delivered", n_success)
         n_lost = attempts - n_success

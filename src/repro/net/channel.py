@@ -169,6 +169,20 @@ class RadioChannel:
         kernels (and any future broadcast implementation) must evaluate
         receivers in exactly this order.  In "pairwise" mode only the
         delivery-event scheduling order still depends on it.
+
+        The broadcast hot path keeps three further contracts that
+        external span tracing relies on:
+
+        * every event, deliveries included, enters the event queue
+          through :meth:`Simulator.schedule_at` (never a direct heap
+          push);
+        * frames are sized by :meth:`Message.size_bits`, which encodes
+          through :meth:`Message.signing_bytes`;
+        * the shared-mode draw order per attempted receiver is fixed:
+          shadowing ``gauss``, Rayleigh ``random``, any interferer
+          queries, then the success ``random`` -- exactly what
+          :meth:`received_power_dbm`, :meth:`interference_mw_at` and
+          :meth:`_reception_success` draw, in that order.
         """
         return list(self._radios.values())
 
@@ -218,15 +232,9 @@ class RadioChannel:
         Sums registered interferers (jammers) and currently active
         transmissions other than ``exclude``.
         """
+        if self._quiet_for(exclude):
+            return 0.0
         now = self.sim.now
-        if not self._interferers:
-            # Fast path for the common case: the only in-flight frame is
-            # the excluded sender's own transmission (or nothing at all).
-            active = self._active
-            if not active:
-                return 0.0
-            if len(active) == 1 and active[0].sender is exclude:
-                return 0.0
         total = 0.0
         for source in self._interferers:
             dbm = source.interference_dbm_at(position, now)
@@ -244,6 +252,15 @@ class RadioChannel:
         """Carrier-sense check used by the MAC: is in-band power above CS threshold?"""
         power_mw = self.interference_mw_at(radio.position(), exclude=radio)
         return mw_to_dbm(power_mw) >= self.config.carrier_sense_dbm
+
+    def _quiet_for(self, sender: Optional["Radio"]) -> bool:
+        """True when no jammer is registered and the only in-flight frame
+        is ``sender``'s own (or there is none): every receiver then sees
+        zero interference from ``sender``'s point of view."""
+        if self._interferers:
+            return False
+        active = self._active
+        return not active or (len(active) == 1 and active[0].sender is sender)
 
     def _reap_active(self, now: float) -> None:
         self._active = [tx for tx in self._active if tx.end > now]
@@ -280,36 +297,82 @@ class RadioChannel:
             self._broadcast_pairwise(sender, msg, duration, power)
             return
 
-        sender_pos = sender.position()
+        # Shared-stream reception, inlined: the same draws, float
+        # expressions and counter updates as received_power_dbm ->
+        # _fading_db, interference_mw_at and _reception_success (kept as
+        # the reference; tests/net/test_channel_inline.py compares the two
+        # draw for draw), without a method call per draw.
+        stats = self.stats
+        schedule_at = self.sim.schedule_at
+        rng = self.sim.rng
+        gauss = rng.gauss
+        uniform = rng.random
+        inc = obs.inc
+        log10 = math.log10
+        sigma = cfg.shadowing_sigma_db
+        shadowing = sigma > 0
+        rayleigh = cfg.rayleigh_fading
+        reference_loss = cfg.reference_loss_db
+        loss_slope = 10.0 * cfg.path_loss_exponent
+        min_distance = cfg.min_distance_m
+        max_range = cfg.max_range_m
+        propagation_speed = cfg.propagation_speed
+        steepness = cfg.per_steepness
+        threshold = cfg.sinr_threshold_db
         noise_mw = self._noise_mw
+        noise_only_dbm = self._noise_only_dbm
+        # Nothing in the loop registers jammers or starts transmissions,
+        # so whether any receiver can see interference is decided once.
+        quiet = self._quiet_for(sender)
+        sender_pos = sender.position()
         for receiver in self.receivers_in_order():
-            if receiver is sender:
+            if receiver is sender or not receiver.enabled:
                 continue
-            if not receiver.enabled:
+            receiver_pos = receiver.position()
+            distance = abs(receiver_pos - sender_pos)
+            if distance > max_range:
+                stats.out_of_range += 1
                 continue
-            distance = abs(receiver.position() - sender_pos)
-            if distance > cfg.max_range_m:
-                self.stats.out_of_range += 1
-                continue
-            self.stats.delivery_attempts += 1
-            rx_power_dbm = self.received_power_dbm(power, distance)
-            interference_mw = self.interference_mw_at(receiver.position(), exclude=sender)
-            if interference_mw == 0.0:
-                sinr_db = rx_power_dbm - self._noise_only_dbm
+            stats.delivery_attempts += 1
+            rx_power_dbm = power - (reference_loss + loss_slope
+                                    * log10(max(distance, min_distance)))
+            fading = 0.0
+            if shadowing:
+                fading += gauss(0.0, sigma)
+            if rayleigh:
+                u = uniform()
+                u = max(u, 1e-12)
+                fading += 10.0 * log10(-math.log(u))
+            rx_power_dbm += fading
+            if quiet:
+                interference_mw = 0.0
+                sinr_db = rx_power_dbm - noise_only_dbm
             else:
-                sinr_db = rx_power_dbm - mw_to_dbm(noise_mw + interference_mw)
-            if self._reception_success(sinr_db):
-                delay = duration + distance / cfg.propagation_speed
-                self.sim.schedule(delay, receiver.deliver, msg)
-                self.stats.delivered += 1
-                obs.inc("frames.delivered")
-            else:
-                if interference_mw > noise_mw * 0.1:
-                    self.stats.lost_interference += 1
-                    obs.inc("frames.jammed")
+                interference_mw = self.interference_mw_at(receiver_pos,
+                                                          exclude=sender)
+                if interference_mw == 0.0:
+                    sinr_db = rx_power_dbm - noise_only_dbm
                 else:
-                    self.stats.lost_noise += 1
-                    obs.inc("frames.lost_noise")
+                    sinr_db = rx_power_dbm - mw_to_dbm(noise_mw
+                                                       + interference_mw)
+            x = steepness * (sinr_db - threshold)
+            if x > 30:
+                p_success = 1.0
+            elif x < -30:
+                p_success = 0.0
+            else:
+                p_success = 1.0 / (1.0 + math.exp(-x))
+            if uniform() < p_success:
+                delay = duration + distance / propagation_speed
+                schedule_at(now + delay, receiver.deliver, msg)
+                stats.delivered += 1
+                inc("frames.delivered")
+            elif interference_mw > noise_mw * 0.1:
+                stats.lost_interference += 1
+                inc("frames.jammed")
+            else:
+                stats.lost_noise += 1
+                inc("frames.lost_noise")
 
     def _broadcast_pairwise(self, sender: "Radio", msg: Message,
                             duration: float, power: float) -> None:

@@ -14,6 +14,7 @@ on reception.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -54,6 +55,18 @@ class ManeuverType(enum.Enum):
 
 
 _msg_seq = itertools.count(1)
+
+#: Encoder behind :meth:`Message.signing_bytes`; configured exactly as
+#: ``json.dumps(body, sort_keys=True, default=str)``, so its output is
+#: byte-identical while the per-frame encoder construction is saved.
+_SIGNING_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+@functools.cache
+def _signed_field_names(cls: type) -> tuple[str, ...]:
+    """Names of the dataclass fields of ``cls`` that the signature covers."""
+    return tuple(f.name for f in fields(cls)
+                 if f.name not in cls._ENVELOPE_FIELDS)
 
 
 def _next_seq() -> int:
@@ -113,16 +126,14 @@ class Message:
         and signatures computed over them.
         """
         body: dict[str, Any] = {}
-        for f in fields(self):
-            if f.name in self._ENVELOPE_FIELDS:
-                continue
-            value = getattr(self, f.name)
+        for name in _signed_field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, enum.Enum):
                 value = value.value
-            body[f.name] = value
+            body[name] = value
         if self.nonce is not None:
             body["nonce"] = self.nonce
-        return json.dumps(body, sort_keys=True, default=str).encode()
+        return _SIGNING_ENCODER.encode(body).encode()
 
     def size_bits(self) -> int:
         """Approximate on-air size, used for airtime computation."""

@@ -205,13 +205,21 @@ class World:
         if (pred_map is not None
                 and self._vehicles.get(vehicle.vehicle_id) is vehicle):
             return pred_map[vehicle.vehicle_id]
+        # Each position is a property read through the dynamics, so the
+        # scan reads every one once.  Strict comparisons keep the tie-break
+        # of the cached map: the earliest-registered vehicle among those at
+        # the smallest position strictly ahead.
+        lane = vehicle.lane
+        own = vehicle.position
         best: Optional["Vehicle"] = None
+        best_position = 0.0
         for other in self._vehicles.values():
-            if other is vehicle or other.lane != vehicle.lane:
+            if other is vehicle or other.lane != lane:
                 continue
-            if other.position > vehicle.position:
-                if best is None or other.position < best.position:
-                    best = other
+            position = other.position
+            if position > own and (best is None or position < best_position):
+                best = other
+                best_position = position
         return best
 
     def true_gap(self, vehicle: "Vehicle") -> Optional[float]:

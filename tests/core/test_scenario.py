@@ -55,6 +55,30 @@ class TestConstruction:
         assert derived.n_vehicles == 3
 
 
+class TestValidation:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_vehicles": 0}, "n_vehicles"),
+        ({"n_vehicles": -3}, "n_vehicles"),
+        ({"duration": -5.0}, "duration"),
+        ({"duration": 0.0}, "duration"),
+        ({"duration": float("nan")}, "duration"),
+        ({"duration": float("inf")}, "duration"),
+    ])
+    def test_unrunnable_episode_rejected_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**kwargs)
+
+    def test_replace_is_validated_too(self):
+        with pytest.raises(ValueError, match="duration"):
+            ScenarioConfig().with_overrides(duration=-1.0)
+
+    def test_highway_layout_supersedes_n_vehicles(self):
+        from repro.highway.config import HighwayConfig
+
+        config = ScenarioConfig(n_vehicles=0, highway=HighwayConfig())
+        assert config.highway is not None
+
+
 class TestExecution:
     def test_baseline_episode_is_healthy(self, fast_config):
         result = run_episode(fast_config)

@@ -24,6 +24,21 @@ class TestScheduling:
         sim.run_until(1.0)
         assert fired == list("abcde")
 
+    def test_same_time_events_scheduled_at_now_fire_after_queued_ones(self, sim):
+        fired = []
+
+        def spawn():
+            fired.append("a")
+            sim.schedule(0.0, fired.append, "a+0")
+            sim.schedule_at(sim.now, fired.append, "a@now")
+
+        sim.schedule(1.0, spawn)
+        sim.schedule(1.0, fired.append, "b")
+        sim.schedule_at(1.0, fired.append, "c")
+        sim.schedule(2.0, fired.append, "later")
+        sim.run_until(2.0)
+        assert fired == ["a", "b", "c", "a+0", "a@now", "later"]
+
     def test_clock_advances_to_event_time(self, sim):
         seen = []
         sim.schedule(2.5, lambda: seen.append(sim.now))
@@ -105,6 +120,36 @@ class TestCancellation:
         event.cancel()
         event.cancel()
         sim.run_until(2.0)
+
+    def test_cancelled_events_are_skipped_in_order(self, sim):
+        fired = []
+        events = {tag: sim.schedule(1.0, fired.append, tag) for tag in "abcd"}
+
+        def cancel_d():
+            fired.append("x")
+            events["d"].cancel()
+
+        events["b"].cancel()
+        sim.schedule_at(0.5, cancel_d)
+        sim.run_until(1.0)
+        assert fired == ["x", "a", "c"]
+        assert sim.events_processed == 3
+        assert sim.pending_events() == 0
+
+    def test_pending_events_tracks_the_queue(self, sim):
+        assert sim.pending_events() == 0
+        sim.schedule(1.0, lambda: None)
+        late = sim.schedule(3.0, lambda: None)
+        proc = sim.every(2.0, lambda: None)
+        assert sim.pending_events() == 3
+        sim.run_until(1.0)
+        assert sim.pending_events() == 2
+        late.cancel()
+        assert sim.pending_events() == 1
+        sim.run_until(2.0)
+        assert sim.pending_events() == 1       # the periodic rescheduled
+        proc.stop()
+        assert sim.pending_events() == 0
 
     def test_pending_events_excludes_cancelled(self, sim):
         keep = sim.schedule(1.0, lambda: None)

@@ -1,11 +1,16 @@
 """Unit tests for the physical world registry and synchronized control."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.events import EventLog
+from repro.kernel import KinematicsPool
 from repro.net.channel import RadioChannel
 from repro.net.simulator import Simulator
 from repro.platoon.dynamics import LongitudinalState
 from repro.platoon.vehicle import Vehicle
+from repro.platoon.world import World
 
 from tests.conftest import build_platoon
 
@@ -53,6 +58,65 @@ class TestRegistry:
         world.remove("veh1")
         assert "veh1" not in world
         assert len(world) == 1
+
+
+def brute_force_predecessor(vehicles, vehicle):
+    """The definition: among same-lane vehicles strictly ahead, the one at
+    the smallest position; on a tie, the earliest registered."""
+    ahead = [other for other in vehicles
+             if other is not vehicle and other.lane == vehicle.lane
+             and other.position > vehicle.position]
+    if not ahead:
+        return None
+    nearest = min(other.position for other in ahead)
+    return next(other for other in ahead if other.position == nearest)
+
+
+def build_layout(layout, pooled):
+    sim = Simulator(seed=3)
+    world = World()
+    channel = RadioChannel(sim)
+    factory = None
+    if pooled:
+        pool = KinematicsPool()
+        world.attach_pool(pool)
+        factory = pool.make_dynamics
+    vehicles = [Vehicle(sim, world, channel, f"v{i}", EventLog(),
+                        initial=LongitudinalState(position=position),
+                        lane=lane, dynamics_factory=factory)
+                for i, (position, lane) in enumerate(layout)]
+    return world, vehicles
+
+
+class TestPredecessorProperty:
+    # A handful of positions and lanes, so ties and shared lanes are common.
+    layouts = st.lists(st.tuples(st.sampled_from([0.0, 5.0, 5.0, 12.5, 40.0]),
+                                 st.integers(min_value=0, max_value=2)),
+                       min_size=1, max_size=9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layout=layouts)
+    def test_scan_and_cached_map_match_the_definition(self, layout):
+        world, vehicles = build_layout(layout, pooled=False)
+        vector_world, vector_vehicles = build_layout(layout, pooled=True)
+        pred_map = vector_world._predecessor_map()
+        assert pred_map is not None
+        index = {id(v): i for i, v in enumerate(vector_vehicles)}
+        for vehicle, twin in zip(vehicles, vector_vehicles):
+            expected = brute_force_predecessor(vehicles, vehicle)
+            assert world.predecessor_of(vehicle) is expected
+            assert expected is not vehicle
+            cached = pred_map[twin.vehicle_id]
+            assert (None if cached is None else index[id(cached)]) == \
+                (None if expected is None else vehicles.index(expected))
+            assert vector_world.predecessor_of(twin) is cached
+
+    def test_equal_positions_pick_the_earliest_registered(self):
+        world, vehicles = build_layout(
+            [(0.0, 0), (7.0, 0), (7.0, 0), (7.0, 1)], pooled=False)
+        assert world.predecessor_of(vehicles[0]) is vehicles[1]
+        assert world.predecessor_of(vehicles[1]) is None
+        assert world.predecessor_of(vehicles[3]) is None
 
 
 class TestSynchronizedControl:

@@ -57,6 +57,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["attack", "quantum"])
 
+    # ROADMAP reproducers: bad sizes must fail fast with exit 2 and name
+    # the field, never raise a traceback or print a verdict.
+    def test_zero_vehicles_rejected(self, capsys):
+        assert main(["--vehicles", "0", "catalogue"]) == 2
+        captured = capsys.readouterr()
+        assert "n_vehicles must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_negative_duration_rejected(self, capsys):
+        assert main(["--duration", "-5", "catalogue"]) == 2
+        captured = capsys.readouterr()
+        assert "duration must be a finite number > 0" in captured.err
+        assert captured.out == ""
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])

@@ -22,15 +22,23 @@ from repro.core.scenario import ScenarioConfig
 # bench-compare` can gate.
 BENCH_HISTORY = os.environ.get("REPRO_BENCH_HISTORY") or None
 
-# The REPRO_BENCH_LOG prose log served its one deprecation release and
-# is gone; fail loudly (not silently ignore) so CI configs still setting
-# it get pointed at the structured replacements.
-if os.environ.get("REPRO_BENCH_LOG"):
-    raise RuntimeError(
-        "REPRO_BENCH_LOG was removed: set REPRO_BENCH_HISTORY=<path.jsonl> "
-        "to record structured platoonsec-bench/1 records (gated by "
-        "'python -m repro bench-compare'), and REPRO_BENCH_STORE=<url> to "
-        "reuse episode results across harness runs")
+# Removed knobs fail loudly (not silently ignored) so configs still
+# setting them get pointed at the replacements: the REPRO_BENCH_LOG prose
+# log and the REPRO_BENCH_CACHE=<dir> alias each served one deprecation
+# release.
+_REMOVED_KNOBS = {
+    "REPRO_BENCH_LOG":
+        "set REPRO_BENCH_HISTORY=<path.jsonl> to record structured "
+        "platoonsec-bench/1 records (gated by 'python -m repro "
+        "bench-compare'), and REPRO_BENCH_STORE=<url> to reuse episode "
+        "results across harness runs",
+    "REPRO_BENCH_CACHE":
+        "set REPRO_BENCH_STORE=json:<dir> to reuse episode results "
+        "across harness runs (or sqlite:<path>)",
+}
+for _knob, _replacement in _REMOVED_KNOBS.items():
+    if os.environ.get(_knob):
+        raise RuntimeError(f"{_knob} was removed: {_replacement}")
 
 # The canonical bench scenario: 8 vehicles, 90 simulated seconds, CACC at
 # motorway speed -- large enough for string effects, small enough to keep
@@ -41,21 +49,17 @@ BENCH_CONFIG = ScenarioConfig(n_vehicles=8, duration=90.0, warmup=10.0,
 # Campaign-engine knobs for the T2/T3 table benches: REPRO_BENCH_WORKERS
 # fans episodes over a process pool, REPRO_BENCH_STORE reuses episode
 # results across harness runs through a result store URL (json:<dir> or
-# sqlite:<path>; the older REPRO_BENCH_CACHE=<dir> still works and maps
-# to json:).  Everything defaults to the plain serial, uncached
+# sqlite:<path>).  Everything defaults to the plain serial, uncached
 # behaviour so timings stay comparable.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 BENCH_STORE = os.environ.get("REPRO_BENCH_STORE") or None
-BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 
 
 def bench_runner():
     """A campaign runner configured from the bench environment knobs."""
     from repro.core.runner import CampaignRunner
 
-    if BENCH_STORE is not None:
-        return CampaignRunner(workers=BENCH_WORKERS, store=BENCH_STORE)
-    return CampaignRunner(workers=BENCH_WORKERS, cache_dir=BENCH_CACHE_DIR)
+    return CampaignRunner(workers=BENCH_WORKERS, store=BENCH_STORE)
 
 
 def table_metrics(headers: Sequence[str],

@@ -4,7 +4,7 @@ Commands
 --------
 ``attack <threat> [options]``
     Run one canonical Table II attack experiment (baseline vs attacked)
-    and print the outcome.
+    on the configured seed, without derivation, and print the outcome.
 ``catalogue``
     Run the full Table II campaign.
 ``highway``
@@ -14,8 +14,10 @@ Commands
 ``matrix [mechanism]``
     Run the Table III defence matrix (optionally one mechanism row).
 
-The campaign commands (``catalogue``, ``matrix``) execute through the
-campaign engine: ``--workers N`` fans episodes over a process pool,
+Every command that runs episodes (``attack``, ``experiment``,
+``catalogue``, ``highway``, ``matrix``, ``falsify``, ``sweep``,
+``report``) executes through the campaign engine: ``--workers N`` fans
+episodes over a process pool,
 ``--store URL`` persists/reuses episode results across invocations and
 processes (``json:<dir>`` for the one-file-per-hash layout,
 ``sqlite:<path>`` for the concurrent-runner-safe database; the old
@@ -89,9 +91,8 @@ from repro.analysis.tables import format_table
 from repro.core import taxonomy
 from repro.core.campaign import (
     run_defense_matrix,
+    run_experiment_spec,
     run_threat_catalogue,
-    run_threat_experiment,
-    threat_experiment,
 )
 from repro.core.runner import CampaignRunner
 from repro.core.scenario import ScenarioConfig
@@ -159,14 +160,15 @@ def _make_runner(args) -> CampaignRunner:
                           telemetry=_make_telemetry(args, store))
 
 
-def _print_report(runner: CampaignRunner, args) -> None:
+def _print_report(runner: CampaignRunner, args,
+                  title: str = "campaign observability") -> None:
     if runner.telemetry is not None:
         runner.telemetry.close()
     report = runner.report()
     if args.report:
         print(report.format())
     if args.profile:
-        print(report.format_observability())
+        print(report.format_observability(title))
     print(report.summary())
 
 
@@ -248,9 +250,12 @@ def _print_listing(headers, rows, title) -> int:
 
 
 def cmd_attack(args) -> int:
-    experiment = threat_experiment(args.threat, _base_config(args),
-                                   variant=args.variant)
-    outcome = run_threat_experiment(experiment)
+    from repro.experiments import experiment_spec
+
+    spec = experiment_spec(args.threat, args.variant)
+    config = _base_config(args)
+    runner = _make_runner(args)
+    outcome = run_experiment_spec(spec, config, runner=runner).outcome
     print(format_table(
         ["threat", "variant", "metric", "baseline", "attacked", "effect"],
         [[outcome.threat_key, outcome.variant, outcome.metric_name,
@@ -258,9 +263,7 @@ def cmd_attack(args) -> int:
           "CONFIRMED" if outcome.effect_present else "no effect"]]))
     for key, value in sorted(outcome.attack_observables.items()):
         print(f"  {key} = {value}")
-    if args.profile:
-        print(obs.format_snapshot(obs.get_registry().snapshot(),
-                                  title="episode observability"))
+    _print_report(runner, args, "episode observability")
     return 0 if outcome.effect_present else 1
 
 
@@ -350,12 +353,12 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.core.campaign import run_experiment_spec
-
     spec = _resolve_experiment_spec(args.spec)
     if spec is None:
         return 2
-    run = run_experiment_spec(spec, _base_config(args))
+    config = _base_config(args)
+    runner = _make_runner(args)
+    run = run_experiment_spec(spec, config, runner=runner)
     outcome = run.outcome
     headers = ["experiment", "metric", "baseline", "attacked"]
     row = [spec.display_name, outcome.metric_name,
@@ -372,9 +375,7 @@ def cmd_experiment(args) -> int:
                              f"({spec.threat}/{spec.variant})"))
     for key, value in sorted(outcome.attack_observables.items()):
         print(f"  {key} = {value}")
-    if args.profile:
-        print(obs.format_snapshot(obs.get_registry().snapshot(),
-                                  title="episode observability"))
+    _print_report(runner, args, "episode observability")
     return 0 if outcome.effect_present else 1
 
 
@@ -927,7 +928,9 @@ def main(argv=None) -> int:
                              "file (see bench-compare)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_attack = sub.add_parser("attack", help="run one Table II experiment")
+    p_attack = sub.add_parser(
+        "attack", help="run one Table II experiment (baseline vs attacked) "
+                       "at --seed, through the campaign engine")
     p_attack.add_argument("threat", choices=sorted(taxonomy.THREATS))
     p_attack.add_argument("--variant", default=None)
     p_attack.set_defaults(fn=cmd_attack)
@@ -955,8 +958,10 @@ def main(argv=None) -> int:
                           choices=sorted(taxonomy.MECHANISMS))
     p_matrix.set_defaults(fn=cmd_matrix)
 
-    p_exp = sub.add_parser("experiment",
-                           help="run a declarative experiment spec")
+    p_exp = sub.add_parser(
+        "experiment", help="run a declarative experiment spec (baseline, "
+                           "attacked, defended when it declares defences) "
+                           "at --seed, through the campaign engine")
     p_exp.add_argument("spec",
                        help="experiment spec JSON file, or a "
                             "'<threat>[/variant]' catalogue reference")

@@ -11,10 +11,10 @@ defended episodes -- the Table III mechanism key).  The
 * **Memoisation** -- every spec is content-hashed (threat, variant, role,
   mechanism, canonical config JSON); identical units execute exactly
   once per runner and results are shared.  With a ``store`` attached
-  (any :class:`~repro.store.ResultStore`; ``cache_dir=DIR`` is the
-  legacy spelling of ``store="json:DIR"``), records persist keyed by
-  spec hash and survive across processes; corrupt or stale entries are
-  treated as cache misses and recomputed, never raised.
+  (any :class:`~repro.store.ResultStore`, or a ``json:<dir>`` /
+  ``sqlite:<path>`` URL), records persist keyed by spec hash and
+  survive across processes; corrupt or stale entries are treated as
+  cache misses and recomputed, never raised.
 * **Unit leases** -- against a shared store, the runner claims an
   in-flight lease per missing unit before computing it.  A unit whose
   lease another live runner holds is *waited for* instead of recomputed
@@ -69,7 +69,6 @@ from repro.obs.trace import trace_filename
 from repro.store import (
     CACHE_FORMAT,        # noqa: F401  (re-export: the format lives with the stores now)
     DEFAULT_LEASE_TTL,
-    JsonDirStore,
     ResultStore,
     StoreError,
     open_store,
@@ -450,10 +449,11 @@ class RunReport:
             ["role", "threat", "variant", "mechanism", "cache", "source",
              "wall [s]"], rows, title="campaign unit report")
 
-    def format_observability(self) -> str:
+    def format_observability(self, title: str = "campaign observability"
+                             ) -> str:
         """Aggregated cross-worker counters/timers + runner phase times."""
         snap = {"counters": self.counters, "timers": self.timers}
-        parts = [obs.format_snapshot(snap, title="campaign observability")]
+        parts = [obs.format_snapshot(snap, title=title)]
         if self.phases:
             from repro.analysis.tables import format_table
 
@@ -486,9 +486,6 @@ class CampaignRunner:
         Against a shared store the runner takes per-unit in-flight
         leases (see ``lease_ttl``) so concurrent runners split the work
         instead of duplicating it.
-    cache_dir:
-        Legacy alias for ``store="json:<dir>"`` -- the one-JSON-file-
-        per-hash layout.  Mutually exclusive with ``store``.
     lease_ttl:
         In-flight lease time-to-live in seconds.  A unit whose lease
         holder crashed becomes claimable again after this long, so it
@@ -511,25 +508,15 @@ class CampaignRunner:
     """
 
     def __init__(self, workers: int = 1,
-                 cache_dir: Optional[Union[str, Path]] = None,
                  trace_dir: Optional[Union[str, Path]] = None,
                  telemetry: Optional[TelemetryBus] = None,
                  store: Optional[Union[str, Path, ResultStore]] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  lease_poll: float = 0.05) -> None:
         self.workers = max(1, int(workers or 1))
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either store= or the legacy cache_dir= "
-                             "alias, not both")
-        if store is None and cache_dir is not None:
-            store = JsonDirStore(cache_dir)
-        elif store is not None and not isinstance(store, ResultStore):
+        if store is not None and not isinstance(store, ResultStore):
             store = open_store(store)
         self.store: Optional[ResultStore] = store
-        # Legacy attribute: the cache directory when the store is the
-        # JSON-dir backend, None otherwise.
-        self.cache_dir = store.root if isinstance(store, JsonDirStore) \
-            else None
         self.lease_ttl = float(lease_ttl)
         self.lease_poll = float(lease_poll)
         self._owner = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"

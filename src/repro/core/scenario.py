@@ -33,6 +33,7 @@ from repro.net.channel import ChannelConfig, RadioChannel
 from repro.net.messages import reset_message_seq
 from repro.net.simulator import Simulator
 from repro.net.vlc import VlcChannel, VlcConfig
+from repro.platoon.controllers import CONTROLLERS, make_controller
 from repro.platoon.dynamics import LongitudinalState, VehicleParams
 from repro.platoon.vehicle import Vehicle, VehicleConfig
 from repro.platoon.world import World
@@ -101,6 +102,28 @@ class ScenarioConfig:
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(
                 f"duration must be a finite number > 0, got {self.duration}")
+        # A warmup that covers the whole episode measures nothing, and a
+        # silently ignored controller or leader profile runs some other
+        # episode than the one asked for.
+        if not 0 <= self.warmup < self.duration:
+            raise ValueError(
+                f"warmup must satisfy 0 <= warmup < duration "
+                f"({self.duration}), got {self.warmup}")
+        if not (math.isfinite(self.initial_speed) and self.initial_speed > 0):
+            raise ValueError("initial_speed must be a finite number > 0, "
+                             f"got {self.initial_speed}")
+        if self.initial_spacing is not None and not (
+                math.isfinite(self.initial_spacing)
+                and self.initial_spacing > 0):
+            raise ValueError("initial_spacing must be None or a finite "
+                             f"number > 0, got {self.initial_spacing}")
+        if not (isinstance(self.cacc_kind, str)
+                and self.cacc_kind.lower() in CONTROLLERS):
+            raise ValueError(f"cacc_kind must be one of {sorted(CONTROLLERS)}, "
+                             f"got {self.cacc_kind!r}")
+        if self.leader_profile not in ("constant", "varying"):
+            raise ValueError("leader_profile must be 'constant' or "
+                             f"'varying', got {self.leader_profile!r}")
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
@@ -229,7 +252,6 @@ class Scenario:
         if cfg.initial_spacing is not None:
             spacing = max(cfg.initial_spacing, params.length + 2.0)
         else:
-            from repro.platoon.controllers import make_controller
 
             equilibrium_gap = make_controller(cfg.cacc_kind).desired_gap(
                 cfg.initial_speed)

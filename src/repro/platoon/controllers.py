@@ -191,16 +191,19 @@ class PloegCaccController:
         return inputs.predecessor_accel + self.k_p * e + self.k_d * e_dot
 
 
+#: Controller kinds a scenario's ``cacc_kind`` may name (case-insensitive).
+CONTROLLERS = {
+    "cruise": CruiseController,
+    "acc": AccController,
+    "path": PathCaccController,
+    "ploeg": PloegCaccController,
+}
+
+
 def make_controller(kind: str, **overrides) -> Controller:
     """Factory used by scenario configs ("acc", "path", "ploeg", "cruise")."""
-    registry = {
-        "cruise": CruiseController,
-        "acc": AccController,
-        "path": PathCaccController,
-        "ploeg": PloegCaccController,
-    }
     key = kind.lower()
-    if key not in registry:
+    if key not in CONTROLLERS:
         raise ValueError(f"unknown controller kind {kind!r}; "
-                         f"expected one of {sorted(registry)}")
-    return registry[key](**overrides)
+                         f"expected one of {sorted(CONTROLLERS)}")
+    return CONTROLLERS[key](**overrides)

@@ -23,12 +23,8 @@ import itertools
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Optional
 
-from repro.core.campaign import make_defenses, threat_experiment
-from repro.core.runner import (
-    CampaignRunner,
-    EpisodeSpec,
-    derive_replicate_seed,
-)
+from repro.core.campaign import plan_threat_experiment
+from repro.core.runner import CampaignRunner, EpisodeSpec
 from repro.core.scenario import ScenarioConfig
 from repro.net.channel import ChannelConfig
 from repro.obs import registry as obs
@@ -129,12 +125,8 @@ def _build_base_config(base: dict) -> ScenarioConfig:
 class SweepEngine:
     """Plans and executes sweeps through a campaign runner."""
 
-    def __init__(self, runner: Optional[CampaignRunner] = None, *,
-                 workers: int = 1, cache_dir=None, store=None,
-                 trace_dir=None, telemetry=None) -> None:
-        self.runner = runner if runner is not None else CampaignRunner(
-            workers=workers, cache_dir=cache_dir, store=store,
-            trace_dir=trace_dir, telemetry=telemetry)
+    def __init__(self, runner: Optional[CampaignRunner] = None) -> None:
+        self.runner = runner if runner is not None else CampaignRunner()
 
     def _emit_phase(self, phase: str, finished: bool = False,
                     **payload) -> None:
@@ -147,12 +139,15 @@ class SweepEngine:
     # ------------------------------------------------------------- planning
 
     def plan(self, spec: SweepSpec) -> list[PlannedPoint]:
-        """Expand a resolved spec into runnable campaign units."""
+        """Expand a resolved spec into runnable campaign units.
+
+        Each replicate is planned by
+        :func:`~repro.core.campaign.plan_threat_experiment` with the
+        sweep's root seed; the point's ``attack.*``/``defense.*`` values
+        then ride the attacked/defended units as parameter overrides.
+        """
         spec = spec.resolved()
         base_cfg = _build_base_config(spec.base)
-        requirements: dict = {}
-        if spec.mechanism is not None:
-            _, requirements = make_defenses(spec.mechanism)
         points = expand_points(spec)
         planned: list[PlannedPoint] = []
         for point in points:
@@ -191,29 +186,23 @@ class SweepEngine:
                         "'highway' section in the sweep's base config")
                 point_cfg = point_cfg.with_overrides(
                     highway=dc_replace(point_cfg.highway, **highway_over))
-            experiment = threat_experiment(spec.threat, point_cfg,
-                                           variant=spec.variant)
-            metric = spec.metric or experiment.metric_name
-            plan = PlannedPoint(point=point, metric=metric,
+            root_cfg = point_cfg.with_overrides(seed=spec.root_seed)
+            reps = [plan_threat_experiment(spec.threat, root_cfg,
+                                           spec.variant, spec.mechanism, rep)
+                    for rep in range(spec.seed_replicates)]
+            experiment = reps[0].experiment
+            plan = PlannedPoint(point=point,
+                                metric=spec.metric or experiment.metric_name,
                                 lower_is_better=experiment.lower_is_better)
-            for rep in range(spec.seed_replicates):
-                seed = derive_replicate_seed(spec.root_seed, spec.threat,
-                                             experiment.variant, rep)
-                config = experiment.config.with_overrides(seed=seed,
-                                                          **requirements)
-                baseline = EpisodeSpec(spec.threat, experiment.variant,
-                                       "baseline", config)
-                attacked = EpisodeSpec(spec.threat, experiment.variant,
-                                       "attacked", config,
-                                       overrides=tuple(attack_over))
-                defended = None
-                if spec.mechanism is not None:
-                    defended = EpisodeSpec(spec.threat, experiment.variant,
-                                           "defended", config, spec.mechanism,
-                                           overrides=tuple(defended_over))
+            for rep, unit in enumerate(reps):
                 plan.replicates.append(PlannedReplicate(
-                    replicate=rep, seed=seed, baseline=baseline,
-                    attacked=attacked, defended=defended))
+                    replicate=rep, seed=unit.baseline.config.seed,
+                    baseline=unit.baseline,
+                    attacked=dc_replace(unit.attacked,
+                                        overrides=tuple(attack_over)),
+                    defended=(dc_replace(unit.defended,
+                                         overrides=tuple(defended_over))
+                              if unit.defended is not None else None)))
             planned.append(plan)
         return planned
 
@@ -251,11 +240,7 @@ class SweepEngine:
                            thresholds=thresholds)
 
 
-def run_sweep(spec: SweepSpec, *, workers: int = 1, cache_dir=None,
-              store=None, trace_dir=None, telemetry=None,
+def run_sweep(spec: SweepSpec, *,
               runner: Optional[CampaignRunner] = None) -> SweepResult:
-    """One-call sweep: build an engine, run, aggregate."""
-    engine = SweepEngine(runner=runner, workers=workers,
-                         cache_dir=cache_dir, store=store,
-                         trace_dir=trace_dir, telemetry=telemetry)
-    return engine.run(spec)
+    """One-call sweep: build an engine on ``runner``, run, aggregate."""
+    return SweepEngine(runner).run(spec)

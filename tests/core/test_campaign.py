@@ -6,11 +6,12 @@ from repro.core import taxonomy
 from repro.core.campaign import (
     MatrixCell,
     make_defenses,
-    run_matrix_cell,
-    run_threat_experiment,
+    run_defense_matrix,
+    run_experiment_spec,
     threat_experiment,
 )
 from repro.core.scenario import ScenarioConfig
+from repro.experiments import experiment_spec
 
 
 @pytest.fixture
@@ -76,7 +77,8 @@ class TestDefenseConstruction:
 
 class TestThreatOutcome:
     def test_jamming_outcome_has_effect(self, small):
-        outcome = run_threat_experiment(threat_experiment("jamming", small))
+        outcome = run_experiment_spec(experiment_spec("jamming"),
+                                      small).outcome
         assert outcome.effect_present
         assert outcome.attacked_value > outcome.baseline_value
         assert "jamming.pdr" in outcome.attack_observables
@@ -107,11 +109,17 @@ class TestMatrixCell:
                                attacked_value=5.0, defended_value=5.0)
         assert no_effect.mitigation is None
 
+    @staticmethod
+    def cell(mechanism, threat, config):
+        """One cell of the mechanism's matrix row (derived seeds)."""
+        cells = run_defense_matrix(config, mechanisms=[mechanism])
+        return next(c for c in cells if c.threat_key == threat)
+
     def test_keys_vs_fake_maneuver_cell(self, small):
-        cell = run_matrix_cell("secret_public_keys", "fake_maneuver", small)
+        cell = self.cell("secret_public_keys", "fake_maneuver", small)
         assert cell.attacked_value > cell.baseline_value
         assert cell.mitigation is not None and cell.mitigation > 0.8
 
     def test_hybrid_vs_jamming_cell(self, small):
-        cell = run_matrix_cell("hybrid_communications", "jamming", small)
+        cell = self.cell("hybrid_communications", "jamming", small)
         assert cell.mitigation is not None and cell.mitigation > 0.6

@@ -118,26 +118,27 @@ class TestEpisodeIntegration:
         assert results["scalar"].detection == results["vector"].detection
 
 
-class TestCampaignIntegration:
-    def test_matrix_cell_carries_defended_detection(self):
-        from repro.core.campaign import run_matrix_cell
+@pytest.fixture(scope="module")
+def keys_replay_cell():
+    """The ``secret_public_keys`` x ``replay`` Table III cell."""
+    from repro.core.campaign import run_defense_matrix
 
-        cell = run_matrix_cell(
-            "secret_public_keys", "replay",
-            base_config=ScenarioConfig(n_vehicles=4, duration=20.0,
-                                       warmup=8.0, seed=7))
+    cells = run_defense_matrix(
+        ScenarioConfig(n_vehicles=4, duration=20.0, warmup=8.0, seed=7),
+        mechanisms=["secret_public_keys"])
+    return next(c for c in cells if c.threat_key == "replay")
+
+
+class TestCampaignIntegration:
+    def test_matrix_cell_carries_defended_detection(self, keys_replay_cell):
+        cell = keys_replay_cell
         assert cell.detection["totals"]["verdicts"] > 0
         assert "freshness" in cell.detection["mechanisms"]
 
-    def test_matrix_metrics_gate_detection_counters(self):
+    def test_matrix_metrics_gate_detection_counters(self, keys_replay_cell):
         from repro.__main__ import _matrix_metrics
-        from repro.core.campaign import run_matrix_cell
 
-        cell = run_matrix_cell(
-            "secret_public_keys", "replay",
-            base_config=ScenarioConfig(n_vehicles=4, duration=20.0,
-                                       warmup=8.0, seed=7))
-        metrics = _matrix_metrics([cell])
+        metrics = _matrix_metrics([keys_replay_cell])
         prefix = "secret_public_keys/replay"
         assert metrics[f"{prefix}.det_verdicts"] > 0
         assert f"{prefix}.det_flagged" in metrics

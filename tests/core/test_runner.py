@@ -331,22 +331,23 @@ class TestSerialParallelEquivalence:
                                                      "falsification"])
         parallel = run_threat_catalogue(TINY, threats=["jamming",
                                                        "falsification"],
-                                        workers=2)
+                                        runner=CampaignRunner(workers=2))
         assert serial == parallel
 
     def test_matrix_identical_across_worker_counts(self):
         serial = run_defense_matrix(TINY, mechanisms=["onboard_security"])
         parallel = run_defense_matrix(TINY, mechanisms=["onboard_security"],
-                                      workers=2)
+                                      runner=CampaignRunner(workers=2))
         assert serial == parallel
 
 
 class TestDiskCache:
     def test_persists_across_runner_instances(self, tmp_path):
-        first = run_threat_catalogue(TINY, threats=["jamming"],
-                                     cache_dir=tmp_path)
+        first = run_threat_catalogue(
+            TINY, threats=["jamming"],
+            runner=CampaignRunner(store=f"json:{tmp_path}"))
         assert list(tmp_path.glob("*.json"))
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        fresh = CampaignRunner(store=f"json:{tmp_path}")
         second = run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         report = fresh.report()
         assert report.computed == 0 and report.cache_hits == 2
@@ -354,46 +355,49 @@ class TestDiskCache:
         assert first == second
 
     def test_corrupt_cache_file_recomputes(self, tmp_path):
-        reference = run_threat_catalogue(TINY, threats=["jamming"],
-                                         cache_dir=tmp_path)
+        reference = run_threat_catalogue(
+            TINY, threats=["jamming"],
+            runner=CampaignRunner(store=f"json:{tmp_path}"))
         for path in tmp_path.glob("*.json"):
             path.write_text("{ this is not json")
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        fresh = CampaignRunner(store=f"json:{tmp_path}")
         recovered = run_threat_catalogue(TINY, threats=["jamming"],
                                          runner=fresh)
         assert fresh.report().computed == 2
         assert recovered == reference
         # The corrupt files were overwritten with good records.
-        again = CampaignRunner(cache_dir=tmp_path)
+        again = CampaignRunner(store=f"json:{tmp_path}")
         run_threat_catalogue(TINY, threats=["jamming"], runner=again)
         assert again.report().cache_hits == 2
 
     def test_stale_format_recomputes(self, tmp_path):
-        run_threat_catalogue(TINY, threats=["jamming"], cache_dir=tmp_path)
+        run_threat_catalogue(TINY, threats=["jamming"],
+                             runner=CampaignRunner(store=f"json:{tmp_path}"))
         for path in tmp_path.glob("*.json"):
             data = json.loads(path.read_text())
             data["format"] = "platoonsec-episode-cache/0"
             path.write_text(json.dumps(data))
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        fresh = CampaignRunner(store=f"json:{tmp_path}")
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         assert fresh.report().computed == 2
 
     def test_key_mismatch_recomputes(self, tmp_path):
-        run_threat_catalogue(TINY, threats=["jamming"], cache_dir=tmp_path)
+        run_threat_catalogue(TINY, threats=["jamming"],
+                             runner=CampaignRunner(store=f"json:{tmp_path}"))
         paths = sorted(tmp_path.glob("*.json"))
         # Swap one record under another record's filename: the embedded
         # key no longer matches, so the entry must be treated as a miss.
         data = json.loads(paths[0].read_text())
         paths[1].write_text(json.dumps(data))
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        fresh = CampaignRunner(store=f"json:{tmp_path}")
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         assert fresh.report().computed == 1
 
     def test_cached_records_equal_computed_records(self, tmp_path):
-        runner = CampaignRunner(cache_dir=tmp_path)
+        runner = CampaignRunner(store=f"json:{tmp_path}")
         plan = plan_threat_experiment("jamming", TINY)
         computed = runner.run([plan.baseline])[plan.baseline.key]
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        fresh = CampaignRunner(store=f"json:{tmp_path}")
         loaded = fresh.run([plan.baseline])[plan.baseline.key]
         assert loaded == computed
 

@@ -63,6 +63,19 @@ class TestValidation:
         ({"duration": 0.0}, "duration"),
         ({"duration": float("nan")}, "duration"),
         ({"duration": float("inf")}, "duration"),
+        ({"warmup": -3.0}, "warmup"),
+        ({"warmup": 100.0}, "warmup"),                # == duration
+        ({"duration": 5.0}, "warmup"),                 # default warmup 10
+        ({"warmup": float("nan")}, "warmup"),
+        ({"initial_speed": float("nan")}, "initial_speed"),
+        ({"initial_speed": float("inf")}, "initial_speed"),
+        ({"initial_speed": 0.0}, "initial_speed"),
+        ({"initial_speed": -4.0}, "initial_speed"),
+        ({"initial_spacing": 0.0}, "initial_spacing"),
+        ({"initial_spacing": -10.0}, "initial_spacing"),
+        ({"initial_spacing": float("nan")}, "initial_spacing"),
+        ({"cacc_kind": "nope"}, "cacc_kind"),
+        ({"leader_profile": "zigzag"}, "leader_profile"),
     ])
     def test_unrunnable_episode_rejected_naming_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -71,6 +84,11 @@ class TestValidation:
     def test_replace_is_validated_too(self):
         with pytest.raises(ValueError, match="duration"):
             ScenarioConfig().with_overrides(duration=-1.0)
+
+    def test_valid_edge_values_accepted(self):
+        config = ScenarioConfig(duration=5.0, warmup=0.0, initial_spacing=1.0,
+                                cacc_kind="PATH", leader_profile="constant")
+        assert config.cacc_kind == "PATH"
 
     def test_highway_layout_supersedes_n_vehicles(self):
         from repro.highway.config import HighwayConfig

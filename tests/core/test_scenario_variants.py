@@ -17,7 +17,7 @@ class TestTrucks:
 
     def test_truck_spacing_accounts_for_length(self):
         config = ScenarioConfig(n_vehicles=3, trucks=True, initial_speed=24.0,
-                                duration=5.0, seed=71)
+                                duration=5.0, warmup=0.0, seed=71)
         scenario = Scenario(config)
         follower = scenario.platoon_vehicles[1]
         gap = scenario.world.true_gap(follower)
@@ -55,14 +55,14 @@ class TestBeaconGapMode:
 class TestSpacingOverride:
     def test_explicit_initial_spacing_respected(self):
         config = ScenarioConfig(n_vehicles=3, initial_spacing=40.0,
-                                duration=1.0, seed=74)
+                                duration=1.0, warmup=0.0, seed=74)
         scenario = Scenario(config)
         a, b = scenario.platoon_vehicles[:2]
         assert a.position - b.position == pytest.approx(40.0)
 
     def test_tiny_spacing_clamped_to_physical(self):
         config = ScenarioConfig(n_vehicles=3, initial_spacing=1.0,
-                                duration=1.0, seed=75)
+                                duration=1.0, warmup=0.0, seed=75)
         scenario = Scenario(config)
         a, b = scenario.platoon_vehicles[:2]
         assert a.position - b.position >= a.params.length

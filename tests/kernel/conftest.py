@@ -27,11 +27,39 @@ def differential_config(kernel: str, fading: str, *, seed: int = 42,
 
 def run_traced(spec, kernel: str, fading: str, out_dir: Path,
                name: str) -> Path:
-    """Run one catalogue experiment under ``kernel`` and trace it."""
+    """Run one catalogue experiment under ``kernel`` and trace it.
+
+    Every run also checks the simulator's conservation laws (see
+    :func:`assert_conservation`).
+    """
     base = differential_config(kernel, fading)
     experiment = spec.build(base)
     trace_path = Path(out_dir) / f"{name}-{kernel}-{fading}.trace.jsonl"
-    run_episode(experiment.config, attacks=experiment.make_attacks(),
-                setup_hooks=experiment.hooks, trace_path=trace_path,
-                trace_meta={"spec_key": name})
+    built: list = []
+    # The extra hook only keeps a handle on the scenario: it schedules
+    # nothing and draws no randomness, so the episode is unchanged.
+    result = run_episode(experiment.config,
+                         attacks=experiment.make_attacks(),
+                         setup_hooks=(*experiment.hooks, built.append),
+                         trace_path=trace_path,
+                         trace_meta={"spec_key": name})
+    assert_conservation(built[0], result, f"{name} [{kernel}/{fading}]")
     return trace_path
+
+
+def assert_conservation(scenario, result, label: str) -> None:
+    """Conservation laws every episode must satisfy.
+
+    * Each delivery attempt ends delivered, lost to noise or lost to
+      interference.
+    * Collisions were counted exactly when the true gap reached zero.
+    """
+    stats = scenario.channel.stats
+    assert stats.delivery_attempts == (
+        stats.delivered + stats.lost_noise + stats.lost_interference), (
+        f"{label}: delivery attempts not conserved: {stats}")
+    metrics = result.metrics
+    touched = metrics.min_true_gap is not None and metrics.min_true_gap <= 0
+    assert (metrics.collision_count > 0) == touched, (
+        f"{label}: collision_count={metrics.collision_count} but "
+        f"min_true_gap={metrics.min_true_gap}")

@@ -204,6 +204,20 @@ class TestBenchHarnessRouting:
         monkeypatch.delenv("REPRO_BENCH_LOG")
         importlib.reload(util)
 
+    def test_legacy_cache_env_rejected_at_import(self, tmp_path,
+                                                 monkeypatch):
+        # REPRO_BENCH_CACHE=<dir> was the last cache_dir= caller; a set
+        # value names the json: store spelling instead of being ignored.
+        import importlib
+        import benchmarks._util as util
+        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path / "cache"))
+        with pytest.raises(RuntimeError,
+                           match="REPRO_BENCH_STORE=json:<dir>"):
+            importlib.reload(util)
+        monkeypatch.delenv("REPRO_BENCH_CACHE")
+        importlib.reload(util)
+        assert not hasattr(util, "BENCH_CACHE_DIR")
+
     def test_table_metrics_flattening(self):
         util = self.util()
         metrics = util.table_metrics(

@@ -214,8 +214,8 @@ class TestRunnerEventStream:
 
     def test_cache_hits_flagged(self, tmp_path):
         sink = RecordingSink()
-        run_tiny_campaign(cache_dir=tmp_path / "cache")
-        run_tiny_campaign(cache_dir=tmp_path / "cache",
+        run_tiny_campaign(store=f"json:{tmp_path / 'cache'}")
+        run_tiny_campaign(store=f"json:{tmp_path / 'cache'}",
                           telemetry=TelemetryBus([sink]))
         finished = [e.payload for e in sink.events
                     if e.kind == "unit_finished"]
@@ -301,9 +301,9 @@ class TestZeroCostWhenDisabled:
 
     def test_cache_and_traces_unperturbed(self, tmp_path):
         quiet, loud = tmp_path / "quiet", tmp_path / "loud"
-        run_tiny_campaign(cache_dir=quiet / "cache",
+        run_tiny_campaign(store=f"json:{quiet / 'cache'}",
                           trace_dir=quiet / "traces")
-        run_tiny_campaign(cache_dir=loud / "cache",
+        run_tiny_campaign(store=f"json:{loud / 'cache'}",
                           trace_dir=loud / "traces",
                           telemetry=TelemetryBus([RecordingSink()]))
         quiet_traces = sorted((quiet / "traces").glob("*.trace.jsonl"))

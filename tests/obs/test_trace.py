@@ -105,9 +105,10 @@ class TestRunnerTraces:
         first_traces = tmp_path / "a"
         second_traces = tmp_path / "b"
         run_threat_catalogue(TINY, threats=["jamming"],
-                             runner=CampaignRunner(cache_dir=cache,
+                             runner=CampaignRunner(store=f"json:{cache}",
                                                    trace_dir=first_traces))
-        fresh = CampaignRunner(cache_dir=cache, trace_dir=second_traces)
+        fresh = CampaignRunner(store=f"json:{cache}",
+                               trace_dir=second_traces)
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         assert fresh.report().cache_hits == 2
         assert list(second_traces.glob("*.trace.jsonl")) == []

@@ -1,15 +1,13 @@
 """CampaignRunner integration with the pluggable result store.
 
 Covers the ``store=`` kwarg wiring, bit-compatibility of the json
-backend with the historical ``cache_dir`` cache, cross-backend result
+backend with the historical one-file-per-hash cache, cross-backend result
 equality, and the lease hand-off paths a single process can exercise
 (waiting on another party's result, taking over a crashed lease).
 """
 
 import threading
 import time
-
-import pytest
 
 from repro.core.campaign import run_threat_catalogue
 from repro.core.runner import CampaignRunner
@@ -20,21 +18,10 @@ TINY = ScenarioConfig(n_vehicles=4, duration=30.0, warmup=6.0, seed=7)
 
 
 class TestRunnerStoreWiring:
-    def test_store_and_cache_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_dir"):
-            CampaignRunner(store=f"json:{tmp_path / 'a'}",
-                           cache_dir=tmp_path / "b")
-
-    def test_cache_dir_maps_to_a_json_store(self, tmp_path):
-        runner = CampaignRunner(cache_dir=tmp_path)
-        assert isinstance(runner.store, JsonDirStore)
-        assert runner.store.root == tmp_path
-        assert runner.cache_dir == tmp_path      # legacy attribute survives
-
     def test_store_url_string_resolved(self, tmp_path):
         runner = CampaignRunner(store=f"sqlite:{tmp_path / 'store.db'}")
         assert runner.store.backend == "sqlite"
-        assert runner.cache_dir is None
+        assert not hasattr(runner, "cache_dir")     # the alias is gone
 
     def test_store_instance_passed_through(self, tmp_path):
         store = SqliteStore(tmp_path / "store.db")
@@ -42,10 +29,11 @@ class TestRunnerStoreWiring:
 
     def test_runner_cache_files_survive_migration_byte_identical(
             self, tmp_path):
-        # cache_dir files written by a real campaign, round-tripped
+        # JSON-dir files written by a real campaign, round-tripped
         # json -> sqlite -> json, come back byte-for-byte identical.
         run_threat_catalogue(TINY, threats=["jamming"],
-                             cache_dir=tmp_path / "legacy")
+                             runner=CampaignRunner(
+                                 store=f"json:{tmp_path / 'legacy'}"))
         legacy = JsonDirStore(tmp_path / "legacy")
         db = SqliteStore(tmp_path / "store.db")
         back = JsonDirStore(tmp_path / "back")
@@ -58,10 +46,11 @@ class TestRunnerStoreWiring:
                 (tmp_path / "back" / path.name).read_bytes()
 
     def test_legacy_cache_dir_files_hit_through_store_url(self, tmp_path):
-        # Warm caches written before the store refactor must keep
-        # hitting with zero migration.
+        # Warm caches in the historical layout (a bare directory path,
+        # which is what the removed cache_dir alias wrote) must keep
+        # hitting through a json: URL with zero migration.
         first = run_threat_catalogue(TINY, threats=["jamming"],
-                                     cache_dir=tmp_path)
+                                     runner=CampaignRunner(store=tmp_path))
         fresh = CampaignRunner(store=f"json:{tmp_path}")
         second = run_threat_catalogue(TINY, threats=["jamming"],
                                       runner=fresh)
@@ -71,7 +60,8 @@ class TestRunnerStoreWiring:
 
     def test_sqlite_persists_across_runner_instances(self, tmp_path):
         url = f"sqlite:{tmp_path / 'store.db'}"
-        first = run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        first = run_threat_catalogue(TINY, threats=["jamming"],
+                                     runner=CampaignRunner(store=url))
         fresh = CampaignRunner(store=url)
         second = run_threat_catalogue(TINY, threats=["jamming"],
                                       runner=fresh)
@@ -81,11 +71,12 @@ class TestRunnerStoreWiring:
         assert first == second
 
     def test_backends_produce_equal_results(self, tmp_path):
-        via_json = run_threat_catalogue(TINY, threats=["jamming"],
-                                        store=f"json:{tmp_path / 'j'}")
+        via_json = run_threat_catalogue(
+            TINY, threats=["jamming"],
+            runner=CampaignRunner(store=f"json:{tmp_path / 'j'}"))
         via_sqlite = run_threat_catalogue(
             TINY, threats=["jamming"],
-            store=f"sqlite:{tmp_path / 'store.db'}")
+            runner=CampaignRunner(store=f"sqlite:{tmp_path / 'store.db'}"))
         assert via_json == via_sqlite
 
 
@@ -122,8 +113,8 @@ class TestLeaseHandOff:
         report = runner.report()
         assert report.computed == 0 and report.cache_hits == 2
         assert {u.source for u in report.units} == {"disk"}
-        assert results == run_threat_catalogue(TINY, threats=["jamming"],
-                                               store=warm)
+        assert results == run_threat_catalogue(
+            TINY, threats=["jamming"], runner=CampaignRunner(store=warm))
 
     def test_crashed_lease_expires_and_unit_is_taken_over(self, tmp_path):
         # The holder died without storing a result or releasing: after

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestCli:
         assert main(["--duration", "-5", "catalogue"]) == 2
         captured = capsys.readouterr()
         assert "duration must be a finite number > 0" in captured.err
+        assert captured.out == ""
+
+    def test_warmup_not_below_duration_rejected(self, capsys):
+        # The default 10 s warmup swallows a 5 s episode: exit 2 naming
+        # the field instead of a "no effect" verdict.
+        assert main(["--duration", "5", "attack", "jamming"]) == 2
+        captured = capsys.readouterr()
+        assert "warmup must satisfy 0 <= warmup < duration" in captured.err
         assert captured.out == ""
 
     def test_command_required(self):
@@ -321,6 +330,49 @@ class TestCliObservability:
         a = write_trace(tmp_path / "a.jsonl", [])
         assert main(["tracediff", str(a), str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCliSingleExperimentEngine:
+    """``attack`` and ``experiment`` run through the campaign engine, so
+    the global --trace-dir and --store flags apply to them too."""
+
+    # A spec that declares a defence, so it runs a defended unit too.
+    SPEC = str(Path(__file__).resolve().parent.parent / "examples"
+               / "specs" / "pulsed_jamming.json")
+
+    def test_attack_writes_one_trace_per_unit(self, tmp_path, capsys):
+        code = main(TINY + ["--trace-dir", str(tmp_path),
+                            "attack", "jamming"])
+        assert code in (0, 1)
+        paths = sorted(tmp_path.glob("*.trace.jsonl"))
+        assert len(paths) == 2                   # baseline + attacked
+        assert {load_trace(p)[0]["role"] for p in paths} \
+            == {"baseline", "attacked"}
+
+    def test_experiment_writes_one_trace_per_unit(self, tmp_path, capsys):
+        code = main(TINY + ["--trace-dir", str(tmp_path),
+                            "experiment", self.SPEC])
+        assert code in (0, 1)
+        paths = sorted(tmp_path.glob("*.trace.jsonl"))
+        assert len(paths) == 3                   # + defended
+        assert {load_trace(p)[0]["role"] for p in paths} \
+            == {"baseline", "attacked", "defended"}
+
+    @pytest.mark.parametrize("command, units", [
+        (["attack", "jamming"], 2),
+        (["experiment", SPEC], 3),
+    ])
+    def test_second_run_is_all_warm_hits(self, tmp_path, capsys, command,
+                                         units):
+        flags = TINY + ["--store", f"json:{tmp_path / 'store'}"]
+        first_code = main(flags + command)
+        first = capsys.readouterr().out
+        assert f"{units} computed, 0 cache hits" in first
+        assert main(flags + command) == first_code
+        second = capsys.readouterr().out
+        assert f"0 computed, {units} cache hits" in second
+        # The outcome table and observables are unchanged by the warm run.
+        assert first.splitlines()[:-1] == second.splitlines()[:-1]
 
 
 class TestCliDetections:

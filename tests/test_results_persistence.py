@@ -130,13 +130,14 @@ class TestDiff:
 
 class TestEndToEnd:
     def test_save_real_campaign(self, tmp_path):
-        from repro.core.campaign import run_threat_experiment, threat_experiment
+        from repro.core.campaign import run_experiment_spec
         from repro.core.scenario import ScenarioConfig
+        from repro.experiments import experiment_spec
 
         config = ScenarioConfig(n_vehicles=5, duration=35.0, warmup=8.0,
                                 seed=606)
-        result = run_threat_experiment(threat_experiment("eavesdropping",
-                                                         config))
+        result = run_experiment_spec(experiment_spec("eavesdropping"),
+                                     config).outcome
         path = save_records(tmp_path / "run.json", "threat_catalogue",
                             [result])
         _, loaded = load_records(path)

@@ -232,7 +232,9 @@ def first_crossing(xs: Sequence[float], ys: Sequence[Optional[float]],
             # Interpolate between the last sub-level point and this one.
             span = y - prev_y
             frac = (level - prev_y) / span if abs(span) > _EPS else 1.0
-            return prev_x + (x - prev_x) * frac
+            # Rounding can land an ulp past the segment; clamp into it.
+            lo, hi = (prev_x, x) if prev_x <= x else (x, prev_x)
+            return min(max(prev_x + (x - prev_x) * frac, lo), hi)
         prev_x, prev_y = x, y
     return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sweep.aggregate import _finite, first_crossing
 
@@ -53,6 +53,7 @@ class TestFinite:
 
 class TestFirstCrossingProperties:
     @given(series=messy_series())
+    @example(series=([48577.0, -999999.9999999999], [0.0, 48577.0], 48577.0))
     @settings(max_examples=200, deadline=None)
     def test_never_nan_and_inside_x_range(self, series):
         xs, ys, level = series

@@ -99,12 +99,10 @@ from repro.core.scenario import ScenarioConfig
 
 
 def _base_config(args) -> ScenarioConfig:
-    from repro.net.channel import ChannelConfig
-
     return ScenarioConfig(n_vehicles=args.vehicles, duration=args.duration,
                           warmup=10.0, seed=args.seed, trucks=args.trucks,
                           kernel=args.kernel,
-                          channel=ChannelConfig(fading_streams=args.fading))
+                          channel={"fading_streams": args.fading})
 
 
 def _resolve_store(args):

@@ -250,9 +250,8 @@ def plan_threat_experiment(threat_key: str,
     """
     base = base_config or ScenarioConfig(duration=90.0)
     experiment = threat_experiment(threat_key, base, variant=variant)
-    requirements: dict = {}
-    if mechanism_key is not None:
-        _, requirements = make_defenses(mechanism_key)
+    requirements = (defense_stack(mechanism_key).requirements
+                    if mechanism_key is not None else {})
     seed = derive_replicate_seed(base.seed, threat_key, experiment.variant,
                                  replicate)
     config = experiment.config.with_overrides(seed=seed, **requirements)

@@ -31,9 +31,8 @@ enough to fully populate the :data:`~repro.core.registry.REGISTRY`.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -42,6 +41,10 @@ from repro.core.registry import REGISTRY, metric_direction, register_hook, regis
 from repro.core.scenario import (
     ScenarioConfig,
     ScenarioResult,
+    check_config,
+    check_keys,
+    check_types,
+    config_path,
     gap_cycle_hook,
 )
 
@@ -51,8 +54,6 @@ import repro.core.defenses    # noqa: F401  (registration side effect)
 
 #: Spec-format tag; bump on incompatible schema changes.
 EXPERIMENT_FORMAT = "platoonsec-experiment/1"
-
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 _EXPRESSION_KEYS = {"$config", "plus", "times"}
 
@@ -101,15 +102,21 @@ def is_expression(value) -> bool:
 
 
 def _check_expression(value: dict, where: str) -> None:
-    unknown = set(value) - _EXPRESSION_KEYS
-    if unknown:
-        raise ValueError(f"{where}: config expression has unknown keys "
-                         f"{sorted(unknown)}; allowed: "
-                         f"{sorted(_EXPRESSION_KEYS)}")
-    field_name = value["$config"]
-    if field_name not in _SCENARIO_FIELDS:
-        raise ValueError(f"{where}: config expression names unknown "
-                         f"ScenarioConfig field {field_name!r}")
+    check_keys(value, _EXPRESSION_KEYS, f"{where}: config expression")
+    try:
+        name = value["$config"]
+        if config_path(name) != ("scenario", name):
+            raise ValueError(f"{name!r} is not a scenario field")
+        operands = [value[key] for key in ("plus", "times") if key in value]
+        kinds = {f.name: f.type for f in fields(ScenarioConfig)}
+        if operands and kinds[name] not in ("int", "float"):
+            raise ValueError(f"arithmetic on non-numeric field {name!r}")
+        for operand in operands:
+            if isinstance(operand, bool) or not isinstance(operand,
+                                                           (int, float)):
+                raise ValueError(f"operand {operand!r} is not a number")
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad config expression: {exc}") from None
 
 
 def resolve_value(value, base: ScenarioConfig):
@@ -154,13 +161,7 @@ class ComponentSpec:
     def from_dict(cls, data, kind: str = "component") -> "ComponentSpec":
         if isinstance(data, str):
             return cls(key=data)
-        if not isinstance(data, dict):
-            raise ValueError(f"{kind} entry must be an object or a string "
-                             f"key, got {type(data).__name__}")
-        unknown = set(data) - {"component", "params"}
-        if unknown:
-            raise ValueError(f"{kind} entry has unknown keys "
-                             f"{sorted(unknown)}")
+        check_keys(data, ("component", "params"), f"{kind} entry")
         if "component" not in data:
             raise ValueError(f"{kind} entry needs a 'component' key")
         params = data.get("params", {})
@@ -200,12 +201,7 @@ class MetricSpec:
     def from_dict(cls, data) -> "MetricSpec":
         if isinstance(data, str):
             return cls(name=data)
-        if not isinstance(data, dict):
-            raise ValueError("metric must be an object or a string name, "
-                             f"got {type(data).__name__}")
-        unknown = set(data) - {"name", "lower_is_better"}
-        if unknown:
-            raise ValueError(f"metric has unknown keys {sorted(unknown)}")
+        check_keys(data, ("name", "lower_is_better"), "metric")
         if "name" not in data:
             raise ValueError("metric needs a 'name'")
         lower = data.get("lower_is_better")
@@ -239,15 +235,13 @@ class ExperimentSpec:
         object.__setattr__(self, "attacks", tuple(self.attacks))
         object.__setattr__(self, "defenses", tuple(self.defenses))
         object.__setattr__(self, "hooks", tuple(self.hooks))
+        check_types(ExperimentSpec, vars(self), "experiment spec ")
         if self.threat not in taxonomy.THREATS:
             raise ValueError(f"unknown threat {self.threat!r}; expected one "
                              f"of {sorted(taxonomy.THREATS)}")
-        if not self.variant or not isinstance(self.variant, str):
+        if not self.variant:
             raise ValueError("experiment spec needs a non-empty 'variant'")
-        unknown = set(self.config) - _SCENARIO_FIELDS
-        if unknown:
-            raise ValueError("config overrides name unknown ScenarioConfig "
-                             f"fields {sorted(unknown)}")
+        check_config(self.config)
         _validate_values(self.config, "config")
         if not self.attacks:
             raise ValueError("experiment spec needs at least one attack")
@@ -336,38 +330,22 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise ValueError("experiment spec must be an object, got "
-                             f"{type(data).__name__}")
+        check_keys(data, {"format", *(f.name for f in fields(cls))},
+                   "experiment spec")
         data = dict(data)
         fmt = data.pop("format", EXPERIMENT_FORMAT)
         if fmt != EXPERIMENT_FORMAT:
             raise ValueError(f"unsupported experiment spec format {fmt!r}; "
                              f"expected {EXPERIMENT_FORMAT!r}")
-        known = {"name", "threat", "variant", "config", "attacks",
-                 "defenses", "hooks", "metric"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError("experiment spec has unknown keys "
-                             f"{sorted(unknown)}")
         for required in ("threat", "variant", "attacks", "metric"):
             if required not in data:
                 raise ValueError(f"experiment spec needs {required!r}")
-        config = data.get("config", {})
-        if not isinstance(config, dict):
-            raise ValueError("experiment 'config' must be an object")
-        return cls(
-            name=data.get("name"),
-            threat=str(data["threat"]),
-            variant=str(data["variant"]),
-            config=dict(config),
-            attacks=tuple(ComponentSpec.from_dict(c, "attack")
-                          for c in data["attacks"]),
-            defenses=tuple(ComponentSpec.from_dict(c, "defense")
-                           for c in data.get("defenses", ())),
-            hooks=tuple(ComponentSpec.from_dict(c, "hook")
-                        for c in data.get("hooks", ())),
-            metric=MetricSpec.from_dict(data["metric"]))
+        check_types(cls, data, "experiment spec ")
+        for key, kind in (("attacks", "attack"), ("defenses", "defense"),
+                          ("hooks", "hook")):
+            data[key] = tuple(ComponentSpec.from_dict(entry, kind)
+                              for entry in data.get(key, ()))
+        return cls(**{**data, "metric": MetricSpec.from_dict(data["metric"])})
 
 
 def load_experiment_spec(path: Union[str, Path]) -> ExperimentSpec:
@@ -397,11 +375,7 @@ class DefenseStack:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "defenses", tuple(self.defenses))
-        unknown = set(self.requirements) - _SCENARIO_FIELDS
-        if unknown:
-            raise ValueError(f"defence stack {self.mechanism!r} requirements "
-                             "name unknown ScenarioConfig fields "
-                             f"{sorted(unknown)}")
+        check_config(self.requirements)
         for component in self.defenses:
             REGISTRY.get("defense", component.key)
             REGISTRY.validate_params("defense", component.key,

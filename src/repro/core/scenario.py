@@ -21,11 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.events import EventLog
-from repro.highway.config import HighwayConfig
+from repro.highway.config import HighwayConfig, PlatoonSpec
 from repro.obs import registry as obs
 from repro.obs.security import DetectionLedger
 from repro.obs.trace import TraceRecorder, write_trace
@@ -87,12 +87,14 @@ class ScenarioConfig:
     kernel: str = "scalar"
 
     def __post_init__(self) -> None:
-        # Experiment specs, sweeps and JSON files supply the highway
-        # layout as a plain dict; coerce it so every construction path
-        # (with_overrides, dataclasses.replace, direct kwargs) yields a
-        # typed HighwayConfig.
-        if isinstance(self.highway, dict):
-            self.highway = HighwayConfig(**self.highway)
+        # Experiment specs, sweeps and JSON files supply plain JSON;
+        # decode it here so every construction path (with_overrides,
+        # dataclasses.replace, direct kwargs) yields typed sections.
+        if isinstance(self.rsu_positions, list):
+            self.rsu_positions = tuple(self.rsu_positions)
+        check_types(ScenarioConfig, vars(self))
+        for name, section in SECTIONS.items():
+            setattr(self, name, _decode(section, getattr(self, name), name))
         # Fail fast on episodes that cannot run: with no vehicle the
         # builder would crash, and a non-positive horizon would simulate
         # nothing and still produce a verdict.
@@ -117,8 +119,7 @@ class ScenarioConfig:
                 and self.initial_spacing > 0):
             raise ValueError("initial_spacing must be None or a finite "
                              f"number > 0, got {self.initial_spacing}")
-        if not (isinstance(self.cacc_kind, str)
-                and self.cacc_kind.lower() in CONTROLLERS):
+        if self.cacc_kind.lower() not in CONTROLLERS:
             raise ValueError(f"cacc_kind must be one of {sorted(CONTROLLERS)}, "
                              f"got {self.cacc_kind!r}")
         if self.leader_profile not in ("constant", "varying"):
@@ -128,8 +129,17 @@ class ScenarioConfig:
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
 
+    def to_dict(self) -> dict:
+        """The complete plain-JSON view; ``ScenarioConfig(**view)``
+        rebuilds an equal config.  A null highway (the legacy episode)
+        is left out, as in views written before the field existed."""
+        out = json.loads(json.dumps(asdict(self)))
+        if out["highway"] is None:
+            del out["highway"]
+        return out
+
     def canonical_dict(self) -> dict:
-        """Plain-JSON view of the config (tuples become lists).
+        """:meth:`to_dict` without the fields that are not episode content.
 
         This is the identity the campaign runner content-hashes for
         episode memoisation: two configs with equal canonical dicts
@@ -139,17 +149,13 @@ class ScenarioConfig:
         equivalent by construction) and the legacy ``fading_streams``
         default (``"pairwise"`` *does* change the streams, so it stays).
         """
-        out = json.loads(json.dumps(asdict(self), sort_keys=True))
+        out = self.to_dict()
         # The kernel is trace-equivalent by construction (tests/kernel/),
         # so it is never part of the identity: a cached scalar episode
         # validly answers for the same episode under the vector kernel.
         del out["kernel"]
-        if out.get("channel", {}).get("fading_streams") == "shared":
+        if out["channel"]["fading_streams"] == "shared":
             del out["channel"]["fading_streams"]
-        # No highway layout = the legacy single-platoon episode; strip
-        # the null so hashes minted before the field existed stay valid.
-        if out.get("highway") is None:
-            out.pop("highway", None)
         return out
 
     def content_hash(self) -> str:
@@ -157,6 +163,124 @@ class ScenarioConfig:
         blob = json.dumps(self.canonical_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# --------------------------------------------------------------------------
+# Plain-JSON codec: the one place JSON becomes a ScenarioConfig
+# --------------------------------------------------------------------------
+
+#: The nested config sections of a scenario, by field name.
+SECTIONS = {"channel": ChannelConfig, "vehicle": VehicleConfig,
+            "highway": HighwayConfig}
+
+#: Accepted Python types per annotated field type (bools are not numbers).
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                "tuple": (tuple, list), "dict": dict}
+
+
+def _unknown_field(cls, path: str, name) -> ValueError:
+    known = sorted(f.name for f in fields(cls))
+    return ValueError(f"{path!r} names no field: unknown {cls.__name__} "
+                      f"field {name!r} (known: {known})")
+
+
+def check_keys(data, known, where: str) -> None:
+    """Reject a non-object, or keys outside ``known``, naming ``where``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got "
+                         f"{type(data).__name__}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {sorted(unknown)} "
+                         f"(known: {sorted(known)})")
+
+
+def check_types(cls, values: dict, prefix: str = "") -> None:
+    """Reject values that do not fit their dataclass field's annotation."""
+    for f in fields(cls):
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        value = values.get(f.name)
+        if (f.name not in values or kind not in _FIELD_TYPES
+                or (value is None and kind != f.type)):
+            continue
+        if not (isinstance(value, _FIELD_TYPES[kind])
+                and isinstance(value, bool) == (kind == "bool")):
+            raise ValueError(f"{prefix}{f.name} must be {kind}, got "
+                             f"{type(value).__name__} {value!r}")
+
+
+def _decode(cls, value, path: str):
+    """A typed ``cls`` from its plain-JSON object; typed values pass."""
+    if isinstance(value, cls) or (value is None and cls is HighwayConfig):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be an object, got "
+                         f"{type(value).__name__}")
+    unknown = sorted(set(value) - {f.name for f in fields(cls)})
+    if unknown:
+        raise _unknown_field(cls, f"{path}.{unknown[0]}", unknown[0])
+    check_types(cls, value, f"{path}.")
+    if cls is HighwayConfig and "platoons" in value:
+        value = {**value, "platoons": tuple(
+            _decode(PlatoonSpec, entry, f"{path}.platoons[{i}]")
+            for i, entry in enumerate(value["platoons"]))}
+    return cls(**value)
+
+
+def config_path(path) -> tuple[str, str]:
+    """Validate a config path and split it into ``(section, field)``:
+    a bare name is a scenario field, ``channel|vehicle|highway.<field>``
+    a field of that section."""
+    if not isinstance(path, str):
+        raise ValueError(f"config path must be a string, got {path!r}")
+    section, dot, name = path.partition(".")
+    if not dot:
+        section, name = "scenario", path
+    cls = ScenarioConfig if section == "scenario" else SECTIONS.get(section)
+    if cls is None:
+        raise ValueError(f"config path {path!r}: unknown target {section!r} "
+                         "(config sections: scenario/channel/vehicle/highway)")
+    if name not in {f.name for f in fields(cls)}:
+        raise _unknown_field(cls, path, name)
+    return section, name
+
+
+def check_config(overrides: dict) -> None:
+    """Validate plain-JSON ``ScenarioConfig`` keyword overrides: keys
+    are scenario field names and section objects must decode (other
+    values are checked when the config is built)."""
+    if not isinstance(overrides, dict):
+        raise ValueError("config overrides must be an object, got "
+                         f"{type(overrides).__name__}")
+    for key, value in overrides.items():
+        if config_path(key) != ("scenario", key):
+            raise ValueError(f"config key {key!r} is not a ScenarioConfig "
+                             "field name; give a section as an object")
+        if key in SECTIONS:
+            _decode(SECTIONS[key], value, key)
+
+
+def apply_overrides(config: ScenarioConfig, values) -> ScenarioConfig:
+    """``config`` with ``(path, value)`` overrides applied: bare names
+    replace scenario fields, ``section.field`` paths one field of a
+    section (keeping the rest of it)."""
+    scenario: dict = {}
+    sections: dict = {}
+    for path, value in values:
+        section, name = config_path(path)
+        if section == "scenario":
+            scenario[name] = value
+        else:
+            sections.setdefault(section, {})[name] = value
+    config = replace(config, **scenario)
+    for section, changed in sections.items():
+        current = getattr(config, section)
+        if current is None:
+            raise ValueError(
+                f"{section}.* overrides need a {section} scenario; set a "
+                f"'{section}' section in the base config")
+        config = replace(config, **{section: {**vars(current), **changed}})
+    return config
 
 
 @dataclass

@@ -31,7 +31,6 @@ from repro.core.experiment import (
     ComponentSpec,
     DefenseStack,
     ExperimentSpec,
-    MetricSpec,
 )
 
 _WARMUP = {"$config": "warmup"}
@@ -343,15 +342,9 @@ def experiment_spec(threat_key: str,
         raise ValueError(f"unknown {threat_key} variant {variant!r}; valid "
                          f"variants: {variant_names(threat_key)}")
     data = entry["variants"][variant]
-    return ExperimentSpec(
-        threat=threat_key,
-        variant=variant,
-        config=dict(data.get("config", {})),
-        attacks=tuple(ComponentSpec.from_dict(c, "attack")
-                      for c in data["attacks"]),
-        hooks=tuple(ComponentSpec.from_dict(c, "hook")
-                    for c in data.get("hooks", ())),
-        metric=MetricSpec.from_dict(data["metric"]))
+    return ExperimentSpec.from_dict({**data, "threat": threat_key,
+                                     "variant": variant,
+                                     "config": dict(data.get("config", {}))})
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.experiment import ExperimentSpec, load_experiment_spec
-from repro.core.scenario import ScenarioConfig, run_episode
+from repro.core.scenario import ScenarioConfig, check_config, run_episode
 from repro.falsify.objective import SafetyVerdict, assess
-from repro.net.channel import ChannelConfig
 from repro.obs.trace import trace_body_bytes
-from repro.platoon.vehicle import VehicleConfig
 
 #: Manifest format tag; bump on incompatible schema changes.
 CORPUS_FORMAT = "platoonsec-counterexample/1"
@@ -45,29 +43,6 @@ DEFAULT_CORPUS_DIR = Path("tests") / "corpus"
 SPEC_FILE = "spec.json"
 MANIFEST_FILE = "manifest.json"
 TRACE_FILE = "trace.jsonl"
-
-
-def config_to_dict(config: ScenarioConfig) -> dict:
-    """The *complete* plain-JSON view of a scenario config.
-
-    Unlike :meth:`ScenarioConfig.canonical_dict` nothing is stripped:
-    replay needs every field (the fading mode included) exactly as the
-    search ran it.  The kernel is recorded for provenance but replay
-    overrides it per leg.
-    """
-    return json.loads(json.dumps(dataclasses.asdict(config)))
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    """Rebuild a scenario config from :func:`config_to_dict` output."""
-    overrides = dict(data)
-    if isinstance(overrides.get("channel"), dict):
-        overrides["channel"] = ChannelConfig(**overrides["channel"])
-    if isinstance(overrides.get("vehicle"), dict):
-        overrides["vehicle"] = VehicleConfig(**overrides["vehicle"])
-    if isinstance(overrides.get("rsu_positions"), list):
-        overrides["rsu_positions"] = tuple(overrides["rsu_positions"])
-    return ScenarioConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -93,7 +68,9 @@ class CorpusEntry:
         return load_experiment_spec(self.spec_path)
 
     def load_config(self) -> ScenarioConfig:
-        return config_from_dict(self.manifest["config"])
+        data = self.manifest["config"]
+        check_config(data)
+        return ScenarioConfig(**data)
 
 
 @dataclass
@@ -159,7 +136,9 @@ def write_counterexample(corpus_dir: Union[str, Path],
     manifest = {
         "format": CORPUS_FORMAT,
         "name": entry_name,
-        "config": config_to_dict(config),
+        # The complete config view: replay needs every field (the
+        # fading mode included) exactly as the search ran it.
+        "config": config.to_dict(),
         "violation": {
             "collision_count": verdict.collision_count,
             "min_true_gap": verdict.min_true_gap,

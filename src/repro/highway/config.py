@@ -6,8 +6,8 @@ inside :class:`repro.core.scenario.ScenarioConfig` and flow through its
 is identified by exactly this layout plus the base scenario knobs.
 
 Everything here is JSON-round-trippable -- experiment specs and sweep
-bases supply plain dicts, which the ``__post_init__`` hooks coerce back
-into typed specs.
+bases supply plain dicts, which :class:`ScenarioConfig` decodes back
+into typed specs (:mod:`repro.core.scenario`).
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ class PlatoonSpec:
     def __post_init__(self) -> None:
         if self.n_vehicles < 1:
             raise ValueError("PlatoonSpec.n_vehicles must be >= 1")
-
-
-def _coerce_platoon(entry) -> PlatoonSpec:
-    if isinstance(entry, PlatoonSpec):
-        return entry
-    if isinstance(entry, dict):
-        return PlatoonSpec(**entry)
-    raise TypeError(f"platoon spec must be a PlatoonSpec or dict, got {entry!r}")
 
 
 @dataclass
@@ -92,7 +84,7 @@ class HighwayConfig:
     lane_change_interval: float = 0.0
 
     def __post_init__(self) -> None:
-        self.platoons = tuple(_coerce_platoon(p) for p in self.platoons)
+        self.platoons = tuple(self.platoons)
         if self.lanes < 1:
             raise ValueError("HighwayConfig.lanes must be >= 1")
         if not self.platoons:

@@ -84,6 +84,19 @@ class ChannelConfig:
     #                 differ from "shared" (content hashes include it).
     fading_streams: str = "shared"
 
+    def __post_init__(self) -> None:
+        # Fail fast on channels no episode can run on: a zero bitrate or
+        # propagation speed divides by zero in airtime or delivery delay.
+        for name in ("bitrate_bps", "propagation_speed"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value}")
+        if self.fading_streams not in ("shared", "pairwise"):
+            raise ValueError(
+                f"unknown fading_streams {self.fading_streams!r}; "
+                "expected 'shared' or 'pairwise'")
+
 
 @dataclass
 class ChannelStats:
@@ -139,12 +152,8 @@ class RadioChannel:
                 seed=sim.seed,
                 shadowing_sigma_db=self.config.shadowing_sigma_db,
                 rayleigh_fading=self.config.rayleigh_fading)
-        elif self.config.fading_streams == "shared":
-            self.pair_fading = None
         else:
-            raise ValueError(
-                f"unknown fading_streams {self.config.fading_streams!r}; "
-                "expected 'shared' or 'pairwise'")
+            self.pair_fading = None
 
     # ------------------------------------------------------------------ setup
 

@@ -24,6 +24,7 @@ lost", as §V-B puts it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,6 +79,15 @@ class VehicleConfig:
     # the platoon can reform", §V-B).
     rejoin_after_disband: bool = False
     rejoin_cooldown: float = 5.0
+
+    def __post_init__(self) -> None:
+        # Both periods drive periodic timers: a zero, negative or
+        # non-finite period fails deep inside the episode otherwise.
+        for name in ("control_period", "beacon_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value}")
 
 
 class Vehicle:

@@ -25,10 +25,8 @@ from typing import Optional
 
 from repro.core.campaign import plan_threat_experiment
 from repro.core.runner import CampaignRunner, EpisodeSpec
-from repro.core.scenario import ScenarioConfig
-from repro.net.channel import ChannelConfig
+from repro.core.scenario import ScenarioConfig, apply_overrides
 from repro.obs import registry as obs
-from repro.platoon.vehicle import VehicleConfig
 from repro.sweep import aggregate
 from repro.sweep.spec import SweepSpec, split_path
 
@@ -105,23 +103,6 @@ def expand_points(spec: SweepSpec) -> list[SweepPoint]:
     return points
 
 
-def _build_base_config(base: dict) -> ScenarioConfig:
-    """ScenarioConfig from a spec's plain-JSON base overrides.
-
-    ``channel``/``vehicle`` entries may be nested dicts (the JSON view)
-    or already-built config objects.
-    """
-    overrides = dict(base)
-    if isinstance(overrides.get("channel"), dict):
-        overrides["channel"] = ChannelConfig(**overrides["channel"])
-    if isinstance(overrides.get("vehicle"), dict):
-        overrides["vehicle"] = VehicleConfig(**overrides["vehicle"])
-    for name in ("rsu_positions",):
-        if isinstance(overrides.get(name), list):
-            overrides[name] = tuple(overrides[name])
-    return ScenarioConfig().with_overrides(**overrides)
-
-
 class SweepEngine:
     """Plans and executes sweeps through a campaign runner."""
 
@@ -147,46 +128,23 @@ class SweepEngine:
         then ride the attacked/defended units as parameter overrides.
         """
         spec = spec.resolved()
-        base_cfg = _build_base_config(spec.base)
+        base_cfg = ScenarioConfig(**spec.base)
         points = expand_points(spec)
         planned: list[PlannedPoint] = []
         for point in points:
-            scenario_over: dict = {}
-            channel_over: dict = {}
-            vehicle_over: dict = {}
-            highway_over: dict = {}
+            config_over: list[tuple] = []
             attack_over: list[tuple] = []
             defended_over: list[tuple] = []
             for path, value in point.values:
-                target, attr = split_path(path)
-                if target == "scenario":
-                    scenario_over[attr] = value
-                elif target == "channel":
-                    channel_over[attr] = value
-                elif target == "vehicle":
-                    vehicle_over[attr] = value
-                elif target == "highway":
-                    highway_over[attr] = value
-                elif target == "attack":
+                target = split_path(path)[0]
+                if target == "attack":
                     attack_over.append((path, value))
+                if target in ("attack", "defense"):
                     defended_over.append((path, value))
-                else:                                   # defense.*
-                    defended_over.append((path, value))
-            point_cfg = base_cfg.with_overrides(**scenario_over)
-            if channel_over:
-                point_cfg = point_cfg.with_overrides(
-                    channel=dc_replace(point_cfg.channel, **channel_over))
-            if vehicle_over:
-                point_cfg = point_cfg.with_overrides(
-                    vehicle=dc_replace(point_cfg.vehicle, **vehicle_over))
-            if highway_over:
-                if point_cfg.highway is None:
-                    raise ValueError(
-                        "highway.* axes need a highway scenario; set a "
-                        "'highway' section in the sweep's base config")
-                point_cfg = point_cfg.with_overrides(
-                    highway=dc_replace(point_cfg.highway, **highway_over))
-            root_cfg = point_cfg.with_overrides(seed=spec.root_seed)
+                else:
+                    config_over.append((path, value))
+            root_cfg = apply_overrides(base_cfg, config_over).with_overrides(
+                seed=spec.root_seed)
             reps = [plan_threat_experiment(spec.threat, root_cfg,
                                            spec.variant, spec.mechanism, rep)
                     for rep in range(spec.seed_replicates)]

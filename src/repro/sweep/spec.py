@@ -30,29 +30,24 @@ import dataclasses
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.core import taxonomy
 from repro.core.runner import derive_seed
-from repro.core.scenario import ScenarioConfig
-from repro.highway.config import HighwayConfig
-from repro.net.channel import ChannelConfig
-from repro.platoon.vehicle import VehicleConfig
+from repro.core.scenario import (
+    check_config,
+    check_keys,
+    check_types,
+    config_path,
+)
 
 #: Optional ``format`` tag a spec file may carry for self-description.
 SPEC_FORMAT = "platoonsec-sweepspec/1"
 
 #: Root seed used when neither the spec nor the caller provides one.
 DEFAULT_ROOT_SEED = 42
-
-_CONFIG_FIELDS = {
-    "scenario": {f.name for f in dataclasses.fields(ScenarioConfig)},
-    "channel": {f.name for f in dataclasses.fields(ChannelConfig)},
-    "vehicle": {f.name for f in dataclasses.fields(VehicleConfig)},
-    "highway": {f.name for f in dataclasses.fields(HighwayConfig)},
-}
 
 _SAMPLINGS = ("grid", "random")
 
@@ -71,22 +66,13 @@ def split_path(path: str) -> tuple[str, str]:
 
 def _validate_path(path: str) -> None:
     target, attr = split_path(path)
-    if target in _CONFIG_FIELDS:
-        if attr not in _CONFIG_FIELDS[target]:
-            raise ValueError(
-                f"axis path {path!r}: {target} config has no field "
-                f"{attr!r} (known: {sorted(_CONFIG_FIELDS[target])})")
-        if (target, attr) == ("scenario", "seed"):
-            raise ValueError("axis path 'scenario.seed' is reserved; use "
-                             "root_seed/seed_replicates to vary seeds")
-        return
     if target in ("attack", "defense"):
         if not attr:
             raise ValueError(f"axis path {path!r} names no parameter")
         return
-    raise ValueError(
-        f"axis path {path!r}: unknown target {target!r} (expected "
-        "scenario/channel/vehicle/highway/attack/defense)")
+    if config_path(path) == ("scenario", "seed"):
+        raise ValueError("axis path 'scenario.seed' is reserved; use "
+                         "root_seed/seed_replicates to vary seeds")
 
 
 def _component_attrs(threat: str, variant: Optional[str],
@@ -137,6 +123,7 @@ class SweepAxis:
     log: bool = False
 
     def __post_init__(self) -> None:
+        check_types(SweepAxis, vars(self), "axis ")
         object.__setattr__(self, "values", tuple(self.values))
         _validate_path(self.path)
         if self.sampling not in _SAMPLINGS:
@@ -183,18 +170,10 @@ class SweepAxis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepAxis":
-        if not isinstance(data, dict):
-            raise ValueError("axis entry must be an object, got "
-                             f"{type(data).__name__}")
-        known = {"path", "values", "sampling", "low", "high", "n", "log"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"axis has unknown keys {sorted(unknown)}")
+        check_keys(data, [f.name for f in fields(cls)], "axis")
         if "path" not in data:
             raise ValueError("axis needs a 'path'")
-        kwargs = dict(data)
-        kwargs["values"] = tuple(kwargs.get("values", ()))
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -209,13 +188,11 @@ class Threshold:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Threshold":
-        unknown = set(data) - {"response", "level"}
-        if unknown:
-            raise ValueError(f"threshold has unknown keys {sorted(unknown)}")
+        check_keys(data, ("response", "level"), "threshold")
         if "response" not in data or "level" not in data:
             raise ValueError("threshold needs 'response' and 'level'")
-        return cls(response=str(data["response"]),
-                   level=float(data["level"]))
+        check_types(cls, data, "threshold ")
+        return cls(response=data["response"], level=float(data["level"]))
 
 
 @dataclass(frozen=True)
@@ -234,6 +211,7 @@ class SweepSpec:
     thresholds: tuple = ()
 
     def __post_init__(self) -> None:
+        check_types(SweepSpec, vars(self), "sweep spec ")
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if not self.name:
@@ -251,10 +229,7 @@ class SweepSpec:
             raise ValueError(f"duplicate axis paths in {paths}")
         if self.seed_replicates < 1:
             raise ValueError("seed_replicates must be >= 1")
-        unknown = set(self.base) - _CONFIG_FIELDS["scenario"]
-        if unknown:
-            raise ValueError("base overrides name unknown ScenarioConfig "
-                             f"fields {sorted(unknown)}")
+        check_config(self.base)
         if self.variant is not None:
             # Unknown variants raise ValueError naming the valid ones.
             from repro.experiments import experiment_spec
@@ -307,32 +282,20 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise ValueError("sweep spec must be an object, got "
-                             f"{type(data).__name__}")
+        check_keys(data, {"format", *(f.name for f in fields(cls))},
+                   "sweep spec")
         data = dict(data)
         fmt = data.pop("format", SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
             raise ValueError(f"unsupported sweep spec format {fmt!r}; "
                              f"expected {SPEC_FORMAT!r}")
-        known = {"name", "threat", "variant", "mechanism", "axes",
-                 "seed_replicates", "root_seed", "base", "metric",
-                 "thresholds"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"sweep spec has unknown keys {sorted(unknown)}")
         if "name" not in data or "threat" not in data:
             raise ValueError("sweep spec needs 'name' and 'threat'")
-        axes = tuple(SweepAxis.from_dict(a) for a in data.get("axes", ()))
-        thresholds = tuple(Threshold.from_dict(t)
-                           for t in data.get("thresholds", ()))
-        return cls(name=data["name"], threat=data["threat"],
-                   variant=data.get("variant"),
-                   mechanism=data.get("mechanism"), axes=axes,
-                   seed_replicates=int(data.get("seed_replicates", 1)),
-                   root_seed=data.get("root_seed"),
-                   base=dict(data.get("base", {})),
-                   metric=data.get("metric"), thresholds=thresholds)
+        check_types(cls, data, "sweep spec ")
+        return cls(**{**data, "axes": tuple(
+            SweepAxis.from_dict(a) for a in data.get("axes", ())),
+            "thresholds": tuple(Threshold.from_dict(t)
+                                for t in data.get("thresholds", ()))})
 
 
 def load_sweep_spec(path: Union[str, Path]) -> SweepSpec:

@@ -1,13 +1,22 @@
 """Tests for scenario construction and episode execution."""
 
+import json
+import re
+
 import pytest
 
 from repro.core.scenario import (
     Scenario,
     ScenarioConfig,
+    apply_overrides,
+    check_config,
+    config_path,
     gap_cycle_hook,
     run_episode,
 )
+from repro.highway.config import HighwayConfig, PlatoonSpec
+from repro.net.channel import ChannelConfig
+from repro.platoon.vehicle import VehicleConfig
 from repro.platoon.platoon import PlatoonRole
 
 
@@ -76,6 +85,16 @@ class TestValidation:
         ({"initial_spacing": float("nan")}, "initial_spacing"),
         ({"cacc_kind": "nope"}, "cacc_kind"),
         ({"leader_profile": "zigzag"}, "leader_profile"),
+        ({"channel": {"bitrate_bps": 0.0}}, "bitrate_bps"),
+        ({"channel": {"bitrate_bps": float("inf")}}, "bitrate_bps"),
+        ({"channel": {"fading_streams": "per-packet"}}, "fading_streams"),
+        ({"channel": {"propagation_speed": 0.0}}, "propagation_speed"),
+        ({"vehicle": {"control_period": 0.0}}, "control_period"),
+        ({"vehicle": {"control_period": float("nan")}}, "control_period"),
+        ({"vehicle": {"beacon_interval": -0.1}}, "beacon_interval"),
+        ({"n_vehicles": 3.5}, "n_vehicles"),
+        ({"duration": "90"}, "duration"),
+        ({"trucks": 1}, "trucks"),
     ])
     def test_unrunnable_episode_rejected_naming_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -95,6 +114,70 @@ class TestValidation:
 
         config = ScenarioConfig(n_vehicles=0, highway=HighwayConfig())
         assert config.highway is not None
+
+
+class TestCodec:
+    """ScenarioConfig is the one plain-JSON decoder: sections given as
+    objects become typed configs, and bad input names its path."""
+
+    def test_sections_decode_from_defaults(self):
+        config = ScenarioConfig(channel={"fading_streams": "pairwise"},
+                                vehicle={"use_radar_gap": False},
+                                rsu_positions=[500.0])
+        assert config.channel == ChannelConfig(fading_streams="pairwise")
+        assert config.vehicle == VehicleConfig(use_radar_gap=False)
+        assert config.rsu_positions == (500.0,)
+
+    @pytest.mark.parametrize("kwargs, path", [
+        ({"channel": {"noise_floor": -90}}, "channel.noise_floor"),
+        ({"vehicle": {"radar": True}}, "vehicle.radar"),
+        ({"highway": {"platoons": [{"lanes": 0}]}},
+         "highway.platoons[0].lanes"),
+        ({"highway": {"platoons": [{}, {"speed": "fast"}]}},
+         "highway.platoons[1].speed"),
+        ({"channel": [1, 2]}, "channel must be an object"),
+        ({"vehicle": None}, "vehicle must be an object"),
+        ({"highway": {"platoons": 2}}, "highway.platoons"),
+    ])
+    def test_bad_sections_name_their_path(self, kwargs, path):
+        with pytest.raises(ValueError, match=re.escape(path)):
+            ScenarioConfig(**kwargs)
+
+    def test_round_trip_through_json(self):
+        config = ScenarioConfig(
+            n_vehicles=5, kernel="vector", rsu_positions=(10.0, 20.0),
+            channel=ChannelConfig(fading_streams="pairwise"),
+            highway=HighwayConfig(platoons=(PlatoonSpec(speed=29.0),)))
+        view = json.loads(json.dumps(config.to_dict()))
+        assert ScenarioConfig(**view) == config
+        assert config.canonical_dict()["highway"] == view["highway"]
+        assert "highway" not in ScenarioConfig().to_dict()
+
+    def test_config_path_owns_dotted_paths(self):
+        assert config_path("duration") == ("scenario", "duration")
+        assert config_path("scenario.seed") == ("scenario", "seed")
+        assert config_path("channel.bitrate_bps") == ("channel",
+                                                      "bitrate_bps")
+        for bad in ("warp", "channel.warp", "radio.power", 7):
+            with pytest.raises(ValueError):
+                config_path(bad)
+
+    def test_apply_overrides_keeps_the_rest_of_a_section(self):
+        base = ScenarioConfig(channel={"fading_streams": "pairwise"})
+        config = apply_overrides(base, [("channel.noise_floor_dbm", -90.0),
+                                        ("duration", 50.0)])
+        assert config.channel.fading_streams == "pairwise"
+        assert config.channel.noise_floor_dbm == -90.0
+        assert config.duration == 50.0
+        with pytest.raises(ValueError, match="need a highway scenario"):
+            apply_overrides(base, [("highway.lanes", 3)])
+
+    def test_check_config_rejects_dotted_and_bad_section_keys(self):
+        check_config({"duration": 30.0, "channel": {"bitrate_bps": 3e6}})
+        with pytest.raises(ValueError, match="channel.noise_floor"):
+            check_config({"channel": {"noise_floor": -90}})
+        with pytest.raises(ValueError, match="give a section as an object"):
+            check_config({"channel.bitrate_bps": 3e6})
 
 
 class TestExecution:

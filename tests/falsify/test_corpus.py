@@ -8,8 +8,6 @@ from repro.core.experiment import ComponentSpec, ExperimentSpec, MetricSpec
 from repro.core.scenario import ScenarioConfig
 from repro.falsify.corpus import (
     CORPUS_FORMAT,
-    config_from_dict,
-    config_to_dict,
     iter_corpus,
     replay_counterexample,
     write_counterexample,
@@ -48,11 +46,11 @@ class TestConfigRoundTrip:
     def test_round_trip_preserves_everything(self):
         config = ScenarioConfig(n_vehicles=6, duration=50.0, warmup=9.0,
                                 seed=7, kernel="vector")
-        data = json.loads(json.dumps(config_to_dict(config)))
-        assert config_from_dict(data) == config
+        data = json.loads(json.dumps(config.to_dict()))
+        assert ScenarioConfig(**data) == config
 
     def test_nothing_is_stripped(self):
-        data = config_to_dict(CONFIG)
+        data = CONFIG.to_dict()
         assert "kernel" in data
         assert "seed" in data
         assert "channel" in data

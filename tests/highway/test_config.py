@@ -27,7 +27,7 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs,match", [
         ({"lanes": 0}, "lanes"),
         ({"platoons": ()}, "platoons"),
-        ({"platoons": ({"n_vehicles": 3, "lane": 5},)}, "lane"),
+        ({"platoons": (PlatoonSpec(n_vehicles=3, lane=5),)}, "lane"),
         ({"merge_policy": "sometimes"}, "merge_policy"),
         ({"announce_interval": 0.0}, "announce_interval"),
     ])
@@ -40,8 +40,9 @@ class TestValidation:
             PlatoonSpec(n_vehicles=0)
 
     def test_platoon_dicts_coerced(self):
-        hw = HighwayConfig(platoons=({"n_vehicles": 2, "lane": 1},
-                                     PlatoonSpec(n_vehicles=3)))
+        # Plain JSON is decoded by ScenarioConfig, the one codec.
+        hw = ScenarioConfig(highway={"platoons": [
+            {"n_vehicles": 2, "lane": 1}, PlatoonSpec(n_vehicles=3)]}).highway
         assert all(isinstance(p, PlatoonSpec) for p in hw.platoons)
         assert hw.platoons[0].lane == 1
 

@@ -26,13 +26,14 @@ def differential_config(kernel: str, fading: str, *, seed: int = 42,
 
 
 def run_traced(spec, kernel: str, fading: str, out_dir: Path,
-               name: str) -> Path:
-    """Run one catalogue experiment under ``kernel`` and trace it.
+               name: str, **overrides) -> tuple:
+    """Run one catalogue experiment under ``kernel`` and trace it;
+    returns the trace path and the episode metrics.
 
-    Every run also checks the simulator's conservation laws (see
-    :func:`assert_conservation`).
+    ``overrides`` adjust the harness base config.  Every run also checks
+    the simulator's conservation laws (see :func:`assert_conservation`).
     """
-    base = differential_config(kernel, fading)
+    base = differential_config(kernel, fading, **overrides)
     experiment = spec.build(base)
     trace_path = Path(out_dir) / f"{name}-{kernel}-{fading}.trace.jsonl"
     built: list = []
@@ -44,7 +45,7 @@ def run_traced(spec, kernel: str, fading: str, out_dir: Path,
                          trace_path=trace_path,
                          trace_meta={"spec_key": name})
     assert_conservation(built[0], result, f"{name} [{kernel}/{fading}]")
-    return trace_path
+    return trace_path, result.metrics
 
 
 def assert_conservation(scenario, result, label: str) -> None:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.tracediff import diff_traces
-from repro.experiments.catalog import iter_experiment_specs
+from repro.experiments.catalog import experiment_spec, iter_experiment_specs
 from repro.obs.trace import trace_body_bytes
+from repro.platoon.vehicle import VehicleConfig
 
 from .conftest import run_traced
 
@@ -29,11 +30,28 @@ DEFAULT_VARIANTS = [(threat, variant, spec)
                     for threat, variant, is_default, spec
                     in iter_experiment_specs() if is_default]
 
+# The colliding input: GPS spoofing against followers that take their gap
+# from beacon positions instead of radar drives the platoon into contact,
+# so the collision-count conservation check also sees a true gap <= 0.
+COLLIDING = pytest.param(
+    "sensor_spoofing", "gps", experiment_spec("sensor_spoofing", "gps"),
+    {"vehicle": VehicleConfig(use_radar_gap=False)},
+    id="sensor_spoofing/gps-beacon-gap-collides")
 
-def _assert_equivalent(spec, threat, variant, fading, tmp_path):
+
+def _cases(variants):
+    return [pytest.param(t, v, spec, {}, id=f"{t}/{v}")
+            for t, v, spec in variants] + [COLLIDING]
+
+
+def _assert_equivalent(spec, threat, variant, fading, tmp_path, overrides):
     name = f"{threat}-{variant}"
-    scalar = run_traced(spec, "scalar", fading, tmp_path, name)
-    vector = run_traced(spec, "vector", fading, tmp_path, name)
+    scalar, metrics = run_traced(spec, "scalar", fading, tmp_path, name,
+                                 **overrides)
+    vector, _ = run_traced(spec, "vector", fading, tmp_path, name,
+                           **overrides)
+    if overrides:
+        assert metrics.collision_count > 0, "colliding input did not collide"
     if trace_body_bytes(scalar) == trace_body_bytes(vector):
         return
     diff = diff_traces(scalar, vector)
@@ -41,18 +59,19 @@ def _assert_equivalent(spec, threat, variant, fading, tmp_path):
                 f"kernels:\n{diff.format()}")
 
 
-@pytest.mark.parametrize(
-    "threat,variant,spec", ALL_VARIANTS,
-    ids=[f"{t}/{v}" for t, v, _ in ALL_VARIANTS])
-def test_catalogue_equivalence_pairwise(threat, variant, spec, tmp_path):
-    _assert_equivalent(spec, threat, variant, "pairwise", tmp_path)
+@pytest.mark.parametrize("threat,variant,spec,overrides",
+                         _cases(ALL_VARIANTS))
+def test_catalogue_equivalence_pairwise(threat, variant, spec, overrides,
+                                        tmp_path):
+    _assert_equivalent(spec, threat, variant, "pairwise", tmp_path,
+                       overrides)
 
 
-@pytest.mark.parametrize(
-    "threat,variant,spec", DEFAULT_VARIANTS,
-    ids=[f"{t}/{v}" for t, v, _ in DEFAULT_VARIANTS])
-def test_catalogue_equivalence_shared(threat, variant, spec, tmp_path):
-    _assert_equivalent(spec, threat, variant, "shared", tmp_path)
+@pytest.mark.parametrize("threat,variant,spec,overrides",
+                         _cases(DEFAULT_VARIANTS))
+def test_catalogue_equivalence_shared(threat, variant, spec, overrides,
+                                      tmp_path):
+    _assert_equivalent(spec, threat, variant, "shared", tmp_path, overrides)
 
 
 def test_traces_also_identical_across_fadings_is_not_expected(tmp_path):
@@ -64,8 +83,8 @@ def test_traces_also_identical_across_fadings_is_not_expected(tmp_path):
     """
     threat, variant, spec = DEFAULT_VARIANTS[0]
     name = f"{threat}-{variant}"
-    shared = run_traced(spec, "scalar", "shared", tmp_path, name)
-    pairwise = run_traced(spec, "scalar", "pairwise", tmp_path, name)
+    shared, _ = run_traced(spec, "scalar", "shared", tmp_path, name)
+    pairwise, _ = run_traced(spec, "scalar", "pairwise", tmp_path, name)
     assert trace_body_bytes(shared) != trace_body_bytes(pairwise)
 
 

@@ -152,6 +152,38 @@ class TestCliExperiment:
         assert main(["experiment", str(path)]) == 2
         assert "death_ray" in capsys.readouterr().err
 
+    def test_config_channel_section_runs_its_episodes(self, tmp_path, capsys):
+        from repro.core.scenario import ScenarioConfig
+        from repro.net.channel import ChannelConfig
+
+        path = self.spec_file(
+            tmp_path, config={"channel": {"fading_streams": "pairwise"}})
+        code = main(TINY + ["--trace-dir", str(tmp_path / "traces"),
+                            "experiment", str(path)])
+        assert code in (0, 1)
+        expected = ScenarioConfig(
+            n_vehicles=4, duration=20.0, warmup=10.0, seed=7,
+            channel=ChannelConfig(fading_streams="pairwise")).content_hash()
+        headers = [load_trace(p)[0]
+                   for p in (tmp_path / "traces").glob("*.trace.jsonl")]
+        assert len(headers) == 2
+        assert {h["config_hash"] for h in headers} == {expected}
+
+    def test_bad_config_section_value_exits_2_naming_the_field(
+            self, tmp_path, capsys):
+        path = self.spec_file(tmp_path, config={"channel": {"bitrate_bps": 0}})
+        assert main(TINY + ["experiment", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bitrate_bps must be a finite number > 0" in captured.err
+        assert captured.out == ""
+
+    def test_validate_rejects_unknown_config_section_key(self, tmp_path,
+                                                         capsys):
+        path = self.spec_file(
+            tmp_path, config={"channel": {"fading_stream": "pairwise"}})
+        assert main(["experiments", "--validate", str(path)]) == 2
+        assert "channel.fading_stream" in capsys.readouterr().err
+
     def test_experiments_list(self, capsys):
         assert main(["experiments", "--list"]) == 0
         out = capsys.readouterr().out
@@ -233,6 +265,22 @@ class TestCliSweep:
         assert code == 0
         assert "sweep jamming-intensity (1 replicate(s)" in out
         assert "threshold" in out
+
+    @pytest.mark.parametrize("base, path", [
+        ({"channel": {"noise_floor": -90}}, "channel.noise_floor"),
+        ({"highway": {"platoons": [{"lanes": 0}]}},
+         "highway.platoons[0].lanes"),
+    ])
+    def test_bad_base_section_exits_2_naming_the_path(self, tmp_path, capsys,
+                                                      base, path):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({
+            "name": "bad-base", "threat": "jamming", "base": base,
+            "axes": [{"path": "attack.power_dbm", "values": [10.0]}]}))
+        assert main(TINY + ["sweep", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert path in captured.err
+        assert captured.out == ""
 
     def test_replicated_catalogue_reports_spread(self, capsys):
         code = main(TINY + ["--seed-replicates", "2",
